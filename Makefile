@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench benchjson bench5 bench6 bench7 bench8 bench9 benchregress smoke
+.PHONY: all build vet test race check ledger bench benchjson bench5 bench6 bench7 bench8 bench9 benchregress smoke
 
 all: check
 
@@ -25,6 +25,12 @@ smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The benchmark ledger (bench/, BENCHMARK.json): every workload end to end
+# plus the per-layer rows. Pass flags through ARGS, e.g.
+# make ledger ARGS="--workload paper-file --seed 1 --trace 1".
+ledger:
+	sh bench/run.sh $(ARGS)
 
 # Refresh the committed hot-path benchmark record (now including the
 # readahead/decode-worker sweep). BENCH_2.json's "after" section is the

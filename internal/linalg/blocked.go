@@ -2,79 +2,6 @@ package linalg
 
 import "fmt"
 
-// Blocked kernels: cache-aware restructurings of the two O(n^3)-shaped
-// operations on the STAP hot path — general matrix multiply and the
-// Hermitian rank-k update behind sample covariance estimation. Both keep a
-// fixed accumulation order so results are deterministic run-to-run and
-// independent of how callers partition work:
-//
-//   - MulBlocked accumulates every output element over k in ascending
-//     order into a single accumulator, exactly like the naive triple loop,
-//     so tiling changes only the traversal order of independent outputs,
-//     never the rounding of any one of them.
-//   - AccumulatePanel consumes a packed panel of snapshots with one fixed
-//     reduction order (columns ascending within the panel) and mirrors the
-//     strict upper triangle onto the lower by conjugation, so the update
-//     is exactly Hermitian and bit-identical wherever the same panel
-//     boundaries are used.
-
-// Blocking factors for MulBlocked. The tiles keep one a-row strip and the
-// active b-panel resident in L1/L2 across the inner loops; correctness
-// never depends on them.
-const (
-	mulBlockRows = 32  // rows of a per tile
-	mulBlockK    = 64  // inner-dimension span per tile
-	mulBlockCols = 256 // columns of b per tile
-)
-
-// MulBlockedInto computes out = a*b with cache blocking. out must be
-// a.Rows x b.Cols and is overwritten; it must not alias a or b. Every
-// output element is accumulated over the inner dimension in ascending
-// order, so the result is independent of the blocking factors.
-func MulBlockedInto(a, b, out *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: MulBlocked %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: MulBlocked out %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
-	}
-	if &out.Data[0] == &a.Data[0] || &out.Data[0] == &b.Data[0] {
-		panic("linalg: MulBlocked output aliases an input")
-	}
-	for i := range out.Data {
-		out.Data[i] = 0
-	}
-	n, kk, m := a.Rows, a.Cols, b.Cols
-	for i0 := 0; i0 < n; i0 += mulBlockRows {
-		i1 := min(i0+mulBlockRows, n)
-		// k-tiles ascend, so each out element still sums k in order.
-		for k0 := 0; k0 < kk; k0 += mulBlockK {
-			k1 := min(k0+mulBlockK, kk)
-			for j0 := 0; j0 < m; j0 += mulBlockCols {
-				j1 := min(j0+mulBlockCols, m)
-				for i := i0; i < i1; i++ {
-					arow := a.Data[i*kk : (i+1)*kk]
-					orow := out.Data[i*m+j0 : i*m+j1]
-					for k := k0; k < k1; k++ {
-						av := arow[k]
-						brow := b.Data[k*m+j0 : k*m+j1]
-						for j, bv := range brow {
-							orow[j] += av * bv
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// MulBlocked computes and returns a*b using the cache-blocked kernel.
-func MulBlocked(a, b *Matrix) *Matrix {
-	out := NewMatrix(a.Rows, b.Cols)
-	MulBlockedInto(a, b, out)
-	return out
-}
-
 // AccumulatePanel folds a packed panel of g snapshots into the square
 // Hermitian matrix m: m += w * sum_t x_t x_t^H. The panel is gate-major —
 // panel[t*n+i] is component i of snapshot t — so callers pack each

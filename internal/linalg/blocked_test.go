@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Tests for the blocked and batched kernels: the cache-blocked GEMM, the
-// blocked Hermitian panel update, and the conjugated-dot panel strips that
-// back beamforming. The blocked kernels must agree with the scalar
-// reference implementations to tight relative tolerance on awkward
-// geometries (tile remainders, single rows, panels wider than the block),
+// Tests for the blocked and batched kernels: the blocked Hermitian panel
+// update and the conjugated-dot panel strips that back beamforming. The
+// blocked kernels must agree with the scalar reference implementations to
+// tight relative tolerance on awkward geometries (single rows, panels
+// wider than the block),
 // the panel update must be exactly Hermitian, and the asm and generic
 // conj-dot paths must agree bit for bit.
 
@@ -24,32 +24,6 @@ func maxRelDiff(a, b *Matrix) float64 {
 		}
 	}
 	return worst
-}
-
-func TestMulBlockedMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, dims := range []struct{ m, k, n int }{
-		{1, 1, 1}, {3, 16, 5}, {16, 8, 512}, {33, 65, 257}, {40, 70, 300},
-	} {
-		a := randMatrix(rng, dims.m, dims.k)
-		b := randMatrix(rng, dims.k, dims.n)
-		want := Mul(a, b)
-		got := MulBlocked(a, b)
-		if e := maxRelDiff(got, want); e > 1e-12 {
-			t.Errorf("MulBlocked %dx%dx%d: max relative error %g vs Mul", dims.m, dims.k, dims.n, e)
-		}
-	}
-}
-
-func TestMulBlockedIntoRejectsBadShapes(t *testing.T) {
-	a := NewMatrix(2, 3)
-	b := NewMatrix(4, 5) // inner mismatch
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulBlockedInto accepted mismatched inner dimensions")
-		}
-	}()
-	MulBlockedInto(a, b, NewMatrix(2, 5))
 }
 
 func TestAccumulatePanelMatchesOuter(t *testing.T) {
@@ -204,12 +178,7 @@ func TestConjDotPanelAsmMatchesGeneric(t *testing.T) {
 }
 
 func TestBlockedKernelsZeroAlloc(t *testing.T) {
-	a := NewMatrix(16, 16)
 	b := NewMatrix(16, 512)
-	out := NewMatrix(16, 512)
-	for i := range a.Data {
-		a.Data[i] = complex(float64(i%5), 1)
-	}
 	for i := range b.Data {
 		b.Data[i] = complex(1, float64(i%3))
 	}
@@ -221,7 +190,6 @@ func TestBlockedKernelsZeroAlloc(t *testing.T) {
 	w0 := make([]complex128, 16)
 	o0 := make([]complex128, 512)
 	if n := testing.AllocsPerRun(10, func() {
-		MulBlockedInto(a, b, out)
 		cov.AccumulatePanel(panel, 16, 0.5)
 		ConjDotPanel3(b.Data, 16, 16, 512, w0, w0, w0, o0, o0, o0)
 	}); n != 0 {

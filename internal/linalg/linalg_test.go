@@ -216,6 +216,62 @@ func TestTriangularSolveErrors(t *testing.T) {
 	}
 }
 
+// The Into variants are the arithmetic behind the allocating wrappers:
+// factoring in place over a dirty buffer and solving with the output
+// aliasing the input must reproduce the wrappers bit for bit, without
+// allocating.
+func TestIntoVariantsInPlaceAndZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 4, 16} {
+		a := randHPD(rng, n)
+		b := make([]complex128, n)
+		for i := range b {
+			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		l, err := Cholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		y, _ := SolveLower(l, b)
+		want, _ := SolveUpperH(l, y)
+
+		f := a.Clone()
+		x := make([]complex128, n)
+		run := func() {
+			copy(f.Data, a.Data)
+			copy(x, b)
+			if err := CholeskyInto(f, f); err != nil {
+				t.Fatal(err)
+			}
+			if err := SolveLowerInto(x, f, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := SolveUpperHInto(x, f, x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("n=%d: Into solve allocated %v times, want 0", n, allocs)
+		}
+		for i := range l.Data {
+			if f.Data[i] != l.Data[i] {
+				t.Fatalf("n=%d: in-place factor differs at %d: %v vs %v", n, i, f.Data[i], l.Data[i])
+			}
+		}
+		for i := range want {
+			if x[i] != want[i] {
+				t.Fatalf("n=%d: aliased solve differs at %d: %v vs %v", n, i, x[i], want[i])
+			}
+		}
+	}
+	if err := CholeskyInto(NewMatrix(2, 2), NewMatrix(3, 3)); err == nil {
+		t.Error("CholeskyInto accepted a mis-sized factor")
+	}
+	if err := SolveLowerInto(make([]complex128, 1), Identity(2), []complex128{1, 1}); err == nil {
+		t.Error("SolveLowerInto accepted a mis-sized output")
+	}
+}
+
 func TestQRFactorization(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dims := range []struct{ m, n int }{{4, 4}, {8, 3}, {16, 16}, {20, 7}} {

@@ -18,39 +18,69 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		// Diagonal element.
-		d := real(a.At(j, j))
-		for k := 0; k < j; k++ {
-			v := l.At(j, k)
-			d -= real(v)*real(v) + imag(v)*imag(v)
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
-		}
-		dj := math.Sqrt(d)
-		l.Set(j, j, complex(dj, 0))
-		// Column below the diagonal.
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * cmplx.Conj(l.At(j, k))
-			}
-			l.Set(i, j, s/complex(dj, 0))
-		}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := CholeskyInto(l, a); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
 
+// CholeskyInto is Cholesky writing the factor into the caller's n x n
+// matrix l instead of allocating one. l may be a itself (in-place
+// factorization): column j of a is read before column j of l is written,
+// and the upper triangle, which is zeroed, is never read. On error l
+// holds a partial factor.
+func CholeskyInto(l, a *Matrix) error {
+	if a.Rows != a.Cols {
+		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	if l.Rows != n || l.Cols != n {
+		return fmt.Errorf("linalg: Cholesky factor is %dx%d, want %dx%d", l.Rows, l.Cols, n, n)
+	}
+	for j := 0; j < n; j++ {
+		lj := l.Row(j)
+		// Diagonal element.
+		d := real(a.At(j, j))
+		for k := 0; k < j; k++ {
+			v := lj[k]
+			d -= real(v)*real(v) + imag(v)*imag(v)
+		}
+		if d <= 0 || math.IsNaN(d) {
+			return ErrNotPositiveDefinite
+		}
+		dj := math.Sqrt(d)
+		lj[j] = complex(dj, 0)
+		clear(lj[j+1:])
+		// Column below the diagonal.
+		for i := j + 1; i < n; i++ {
+			li := l.Row(i)
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= li[k] * cmplx.Conj(lj[k])
+			}
+			li[j] = s / complex(dj, 0)
+		}
+	}
+	return nil
+}
+
 // SolveLower solves L y = b for lower-triangular L by forward substitution.
 func SolveLower(l *Matrix, b []complex128) ([]complex128, error) {
-	n := l.Rows
-	if l.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveLower dims %dx%d, len(b)=%d", l.Rows, l.Cols, len(b))
+	y := make([]complex128, len(b))
+	if err := SolveLowerInto(y, l, b); err != nil {
+		return nil, err
 	}
-	y := make([]complex128, n)
+	return y, nil
+}
+
+// SolveLowerInto is SolveLower writing the solution into y, which must
+// have len(b) elements and may alias b.
+func SolveLowerInto(y []complex128, l *Matrix, b []complex128) error {
+	n := l.Rows
+	if l.Cols != n || len(b) != n || len(y) != n {
+		return fmt.Errorf("linalg: SolveLower dims %dx%d, len(b)=%d, len(y)=%d", l.Rows, l.Cols, len(b), len(y))
+	}
 	for i := 0; i < n; i++ {
 		s := b[i]
 		row := l.Row(i)
@@ -58,21 +88,30 @@ func SolveLower(l *Matrix, b []complex128) ([]complex128, error) {
 			s -= row[k] * y[k]
 		}
 		if row[i] == 0 {
-			return nil, errors.New("linalg: singular lower-triangular matrix")
+			return errors.New("linalg: singular lower-triangular matrix")
 		}
 		y[i] = s / row[i]
 	}
-	return y, nil
+	return nil
 }
 
 // SolveUpperH solves L^H x = y where l is lower triangular (so L^H is upper
 // triangular) by back substitution.
 func SolveUpperH(l *Matrix, y []complex128) ([]complex128, error) {
-	n := l.Rows
-	if l.Cols != n || len(y) != n {
-		return nil, fmt.Errorf("linalg: SolveUpperH dims %dx%d, len(y)=%d", l.Rows, l.Cols, len(y))
+	x := make([]complex128, len(y))
+	if err := SolveUpperHInto(x, l, y); err != nil {
+		return nil, err
 	}
-	x := make([]complex128, n)
+	return x, nil
+}
+
+// SolveUpperHInto is SolveUpperH writing the solution into x, which must
+// have len(y) elements and may alias y.
+func SolveUpperHInto(x []complex128, l *Matrix, y []complex128) error {
+	n := l.Rows
+	if l.Cols != n || len(y) != n || len(x) != n {
+		return fmt.Errorf("linalg: SolveUpperH dims %dx%d, len(y)=%d, len(x)=%d", l.Rows, l.Cols, len(y), len(x))
+	}
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for k := i + 1; k < n; k++ {
@@ -81,11 +120,11 @@ func SolveUpperH(l *Matrix, y []complex128) ([]complex128, error) {
 		}
 		d := cmplx.Conj(l.At(i, i))
 		if d == 0 {
-			return nil, errors.New("linalg: singular upper-triangular matrix")
+			return errors.New("linalg: singular upper-triangular matrix")
 		}
 		x[i] = s / d
 	}
-	return x, nil
+	return nil
 }
 
 // SolveHermitian solves a x = b for Hermitian positive-definite a via
@@ -96,11 +135,14 @@ func SolveHermitian(a *Matrix, b []complex128) ([]complex128, error) {
 	if err != nil {
 		return nil, err
 	}
-	y, err := SolveLower(l, b)
-	if err != nil {
+	x := make([]complex128, len(b))
+	if err := SolveLowerInto(x, l, b); err != nil {
 		return nil, err
 	}
-	return SolveUpperH(l, y)
+	if err := SolveUpperHInto(x, l, x); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // QR holds the compact Householder QR factorization of a matrix with

@@ -223,6 +223,41 @@ func TestRealFSReadProperty(t *testing.T) {
 	}
 }
 
+// A fan-out read decomposes into per-directory runs without materialising
+// them, so its allocation count depends on the stripe directories it
+// touches, not on how many stripe units it spans. ProbeAt serves the same
+// bytes without fan-out.
+func TestRealFSReadAllocsIndependentOfUnits(t *testing.T) {
+	fs, err := CreateReal(t.TempDir(), 4, 64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 64*256)
+	rand.New(rand.NewSource(9)).Read(data)
+	if err := fs.WriteFile("a.dat", data); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(n int) float64 {
+		buf := make([]byte, n)
+		return testing.AllocsPerRun(20, func() {
+			if err := fs.ReadAt("a.dat", 32, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 4 units vs 255 units, both touching all four directories.
+	if small, large := allocs(4*64), allocs(255*64); large > small {
+		t.Errorf("ReadAt over 255 units allocated %v times, over 4 units %v: per-unit allocation", large, small)
+	}
+	probe := make([]byte, len(data)-100)
+	if err := fs.ProbeAt("a.dat", 100, probe); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(probe, data[100:]) {
+		t.Error("ProbeAt returned different bytes than were written")
+	}
+}
+
 func TestRealFSOverwriteShrinks(t *testing.T) {
 	fs, err := CreateReal(t.TempDir(), 4, 64, true)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
@@ -17,11 +16,12 @@ import (
 // iread()/iowait() pair so the pipeline's first task can overlap I/O with
 // computation.
 type RealFS struct {
-	root   string
-	dirs   int
-	unit   int64
-	async  bool
-	faults *FaultPlan
+	root     string
+	dirs     int
+	unit     int64
+	async    bool
+	faults   *FaultPlan
+	dirPaths []string // stripe directory paths, built once by CreateReal
 }
 
 // CreateReal initialises (or reuses) a striped store rooted at root with
@@ -32,7 +32,8 @@ func CreateReal(root string, stripeDirs int, stripeUnit int64, async bool) (*Rea
 	}
 	fs := &RealFS{root: root, dirs: stripeDirs, unit: stripeUnit, async: async}
 	for i := 0; i < stripeDirs; i++ {
-		if err := os.MkdirAll(fs.dirPath(i), 0o755); err != nil {
+		fs.dirPaths = append(fs.dirPaths, filepath.Join(root, fmt.Sprintf("sd%03d", i)))
+		if err := os.MkdirAll(fs.dirPaths[i], 0o755); err != nil {
 			return nil, fmt.Errorf("pfs: creating stripe dir: %w", err)
 		}
 	}
@@ -56,12 +57,11 @@ func (fs *RealFS) SetFaults(p *FaultPlan) { fs.faults = p }
 // Faults returns the installed fault plan, or nil.
 func (fs *RealFS) Faults() *FaultPlan { return fs.faults }
 
-func (fs *RealFS) dirPath(i int) string {
-	return filepath.Join(fs.root, fmt.Sprintf("sd%03d", i))
-}
-
+// subPath is the path of name's sub-file in stripe directory dir. Names
+// are plain file names, so appending one to the cleaned directory path is
+// what filepath.Join would produce, at one allocation.
 func (fs *RealFS) subPath(dir int, name string) string {
-	return filepath.Join(fs.dirPath(dir), name)
+	return fs.dirPaths[dir] + string(filepath.Separator) + name
 }
 
 // WriteFile stripes data across the directories, replacing any previous
@@ -132,36 +132,50 @@ func (fs *RealFS) FileSize(name string) (int64, error) {
 
 // segment is one contiguous run of bytes within a single stripe sub-file.
 type segment struct {
-	dir    int
 	subOff int64 // offset within the sub-file
 	bufOff int64 // offset within the caller's buffer
 	length int64
 }
 
-// segments decomposes a logical read [off, off+length) into per-directory
-// sub-file runs.
-func (fs *RealFS) segments(off, length int64) []segment {
-	var segs []segment
-	pos := off
-	end := off + length
-	for pos < end {
-		u := pos / fs.unit
-		unitEnd := (u + 1) * fs.unit
-		hi := end
-		if unitEnd < hi {
-			hi = unitEnd
-		}
-		dir := int(u) % fs.dirs
-		idxInDir := u / int64(fs.dirs)
-		segs = append(segs, segment{
-			dir:    dir,
-			subOff: idxInDir*fs.unit + (pos - u*fs.unit),
-			bufOff: pos - off,
-			length: hi - pos,
-		})
-		pos = hi
+// firstUnit returns the first stripe unit of directory d — the units
+// u = d mod StripeDirs — that the logical read [off, off+length) touches,
+// and whether it touches any.
+func (fs *RealFS) firstUnit(off, length int64, d int) (int64, bool) {
+	if length <= 0 {
+		return 0, false
 	}
-	return segs
+	dirs := int64(fs.dirs)
+	u0 := off / fs.unit
+	u := u0 + (int64(d)-u0%dirs+dirs)%dirs
+	return u, u <= (off+length-1)/fs.unit
+}
+
+// run is unit u's run of the read [off, off+length), clipped to the read.
+func (fs *RealFS) run(off, length, u int64) segment {
+	pos := max(off, u*fs.unit)
+	hi := min(off+length, (u+1)*fs.unit)
+	return segment{
+		subOff: u/int64(fs.dirs)*fs.unit + (pos - u*fs.unit),
+		bufOff: pos - off,
+		length: hi - pos,
+	}
+}
+
+// dirRuns calls fn for each run of stripe directory d's share of the
+// read [off, off+length), in ascending offset order, and stops at the
+// first error. The runs are computed, not materialised, so a fan-out read
+// decomposes without allocating.
+func (fs *RealFS) dirRuns(off, length int64, d int, fn func(segment) error) error {
+	u, ok := fs.firstUnit(off, length, d)
+	if !ok {
+		return nil
+	}
+	for uLast := (off + length - 1) / fs.unit; u <= uLast; u += int64(fs.dirs) {
+		if err := fn(fs.run(off, length, u)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // StripeReadError identifies which stripe server failed a fan-out read: the
@@ -186,8 +200,8 @@ func (e *StripeReadError) Unwrap() error { return e.Err }
 // buf (len(buf) >= length), fanning out one goroutine per stripe directory
 // touched. It blocks until the read completes. When several stripe
 // directories fail, the error of the lowest-numbered one is returned, so a
-// multi-server failure reports deterministically rather than in map
-// iteration order.
+// multi-server failure reports deterministically rather than in goroutine
+// completion order.
 func (fs *RealFS) ReadAt(name string, off int64, buf []byte) error {
 	return fs.ReadAtAttempt(name, off, buf, 0)
 }
@@ -197,27 +211,20 @@ func (fs *RealFS) ReadAt(name string, off int64, buf []byte) error {
 // read re-draws, so transient injected faults clear under retry exactly as
 // transient real faults do.
 func (fs *RealFS) ReadAtAttempt(name string, off int64, buf []byte, attempt int) error {
-	segs := fs.segments(off, int64(len(buf)))
-	// Group segments by directory so each directory is served by exactly
-	// one goroutine reading its sub-file sequentially.
-	byDir := make(map[int][]segment)
-	for _, s := range segs {
-		byDir[s.dir] = append(byDir[s.dir], s)
-	}
-	dirs := make([]int, 0, len(byDir))
-	for d := range byDir {
-		dirs = append(dirs, d)
-	}
-	sort.Ints(dirs)
+	// Each touched directory is served by exactly one goroutine reading
+	// its sub-file sequentially; errs is indexed by directory, so the
+	// lowest-numbered failure wins.
 	var wg sync.WaitGroup
-	errs := make([]error, len(dirs))
-	for i, d := range dirs {
-		group := byDir[d]
+	errs := make([]error, fs.dirs)
+	for d := 0; d < fs.dirs; d++ {
+		if _, ok := fs.firstUnit(off, int64(len(buf)), d); !ok {
+			continue
+		}
 		wg.Add(1)
-		go func(i, d int, group []segment) {
+		go func(d int) {
 			defer wg.Done()
-			errs[i] = fs.readDir(name, off, d, group, attempt, buf)
-		}(i, d, group)
+			errs[d] = fs.readDir(name, off, d, attempt, buf)
+		}(d)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -228,20 +235,21 @@ func (fs *RealFS) ReadAtAttempt(name string, off int64, buf []byte, attempt int)
 	return nil
 }
 
+// firstRun returns stripe directory d's first run of the read [off,
+// off+length); the read must touch d.
+func (fs *RealFS) firstRun(off, length int64, d int) segment {
+	u, _ := fs.firstUnit(off, length, d)
+	return fs.run(off, length, u)
+}
+
 // ProbeAt reads length bytes at logical offset off of the named file into
 // buf like ReadAt, but without fault injection or fan-out — the metadata
 // probe a client performs once at startup to learn file geometry, which
 // the injected fault stream covering data reads should not fail.
 func (fs *RealFS) ProbeAt(name string, off int64, buf []byte) error {
-	for _, s := range fs.segments(off, int64(len(buf))) {
-		f, err := os.Open(fs.subPath(s.dir, name))
-		if err != nil {
-			return &StripeReadError{Dir: s.dir, Name: name, Off: s.subOff, Err: err}
-		}
-		_, err = f.ReadAt(buf[s.bufOff:s.bufOff+s.length], s.subOff)
-		f.Close()
-		if err != nil {
-			return &StripeReadError{Dir: s.dir, Name: name, Off: s.subOff, Err: err}
+	for d := 0; d < fs.dirs; d++ {
+		if err := fs.readRuns(name, off, d, buf); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -250,7 +258,7 @@ func (fs *RealFS) ProbeAt(name string, off int64, buf []byte) error {
 // readDir serves one stripe directory's share of a fan-out read, applying
 // the fault plan: a latency spike sleeps, an injected failure aborts the
 // directory's runs, and a corruption flips one bit of the bytes served.
-func (fs *RealFS) readDir(name string, off int64, d int, group []segment, attempt int, buf []byte) error {
+func (fs *RealFS) readDir(name string, off int64, d int, attempt int, buf []byte) error {
 	var o FaultOutcome
 	if fp := fs.faults; fp != nil {
 		o = fp.ReadOutcome(name, off, d, attempt)
@@ -260,28 +268,45 @@ func (fs *RealFS) readDir(name string, off int64, d int, group []segment, attemp
 		}
 		if o.Fail {
 			fp.countFailure()
-			return &StripeReadError{Dir: d, Name: name, Off: group[0].subOff,
+			return &StripeReadError{Dir: d, Name: name, Off: fs.firstRun(off, int64(len(buf)), d).subOff,
 				Err: &FaultError{Dir: d, Name: name, Off: off}}
 		}
 	}
-	f, err := os.Open(fs.subPath(d, name))
-	if err != nil {
-		return &StripeReadError{Dir: d, Name: name, Off: group[0].subOff, Err: err}
-	}
-	defer f.Close()
-	for _, s := range group {
-		if _, err := f.ReadAt(buf[s.bufOff:s.bufOff+s.length], s.subOff); err != nil {
-			return &StripeReadError{Dir: d, Name: name, Off: s.subOff, Err: err}
-		}
+	if err := fs.readRuns(name, off, d, buf); err != nil {
+		return err
 	}
 	if o.Corrupt {
 		fs.faults.countCorrupt()
 		// Flip one bit at a deterministic position within this
 		// directory's first run.
-		s := group[0]
+		s := fs.firstRun(off, int64(len(buf)), d)
 		buf[s.bufOff+fs.faults.CorruptOffset(name, off, d, s.length)] ^= 0x40
 	}
 	return nil
+}
+
+// readRuns reads stripe directory d's runs of the read [off, off+len(buf))
+// into buf through one open of its sub-file. A directory the read does not
+// touch is not opened.
+func (fs *RealFS) readRuns(name string, off int64, d int, buf []byte) error {
+	var f *os.File
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	return fs.dirRuns(off, int64(len(buf)), d, func(s segment) error {
+		if f == nil {
+			var err error
+			if f, err = os.Open(fs.subPath(d, name)); err != nil {
+				return &StripeReadError{Dir: d, Name: name, Off: s.subOff, Err: err}
+			}
+		}
+		if _, err := f.ReadAt(buf[s.bufOff:s.bufOff+s.length], s.subOff); err != nil {
+			return &StripeReadError{Dir: d, Name: name, Off: s.subOff, Err: err}
+		}
+		return nil
+	})
 }
 
 // Pending is an in-flight asynchronous read, the analogue of the NX

@@ -153,8 +153,12 @@ type bandedRun struct {
 	accHard   *stap.CovAccumulator
 	smEasy    stap.CovarianceSmoother
 	smHard    stap.CovarianceSmoother
-	wEasy     *stap.WeightSet
-	wHard     *stap.WeightSet
+	solvEasy  *stap.WeightSolver
+	solvHard  *stap.WeightSolver
+	// Double-buffered weights: bands beamform with w* while the CPI's
+	// solve fills next*, then the two swap.
+	wEasy, nextEasy *stap.WeightSet
+	wHard, nextHard *stap.WeightSet
 
 	comps []*stap.Compressor
 	pairs []stap.BeamBin
@@ -187,8 +191,12 @@ func newBandedRun(cfg Config, p *stap.Params, band int) *bandedRun {
 	b.accHard, _ = stap.NewCovAccumulator(p, b.hardBins, true)
 	b.smEasy = stap.CovarianceSmoother{Lambda: p.Forgetting}
 	b.smHard = stap.CovarianceSmoother{Lambda: p.Forgetting}
+	b.solvEasy, _ = stap.NewWeightSolver(p, b.easyBins, false)
+	b.solvHard, _ = stap.NewWeightSolver(p, b.hardBins, true)
 	b.wEasy = stap.InitialWeights(p, b.easyBins)
 	b.wHard = stap.InitialWeights(p, b.hardBins)
+	b.nextEasy = b.solvEasy.NewWeightSet()
+	b.nextHard = b.solvHard.NewWeightSet()
 	b.comps = []*stap.Compressor{stap.NewCompressor(p)}
 	b.pairs = stap.AllBeamBins(len(p.Beams), p.Bins())
 	b.cfar = newCFARState(p, workersOf(cfg.Workers.CFAR))
@@ -241,15 +249,14 @@ func (b *bandedRun) processCPI(src BandedSource, seq uint64) (CPIResult, error) 
 	// Weight feedback: this CPI's accumulated covariances train the
 	// weights the NEXT CPI beamforms with — the same temporal dependency
 	// as the pipeline and the sequential chain.
-	var err error
-	b.wEasy, err = b.solve(b.ck.we, b.accEasy, &b.smEasy, b.easyBins, false, seq, workersOf(b.cfg.Workers.EasyWeight))
-	if err != nil {
+	if err := b.solve(b.ck.we, b.accEasy, &b.smEasy, b.solvEasy, b.nextEasy, seq, workersOf(b.cfg.Workers.EasyWeight)); err != nil {
 		return CPIResult{}, err
 	}
-	b.wHard, err = b.solve(b.ck.wh, b.accHard, &b.smHard, b.hardBins, true, seq, workersOf(b.cfg.Workers.HardWeight))
-	if err != nil {
+	if err := b.solve(b.ck.wh, b.accHard, &b.smHard, b.solvHard, b.nextHard, seq, workersOf(b.cfg.Workers.HardWeight)); err != nil {
 		return CPIResult{}, err
 	}
+	b.wEasy, b.nextEasy = b.nextEasy, b.wEasy
+	b.wHard, b.nextHard = b.nextHard, b.wHard
 
 	// Pulse compression over the assembled beam cube, per (beam, bin)
 	// pair — identical partitioning and math to the pipeline's pcStage.
@@ -258,7 +265,7 @@ func (b *bandedRun) processCPI(src BandedSource, seq uint64) (CPIResult, error) 
 		b.comps = append(b.comps, b.comps[0].Clone())
 	}
 	t0 := time.Now()
-	err = parallel(pcW, len(b.pairs), func(widx int, blk cube.Block) error {
+	err := parallel(pcW, len(b.pairs), func(widx int, blk cube.Block) error {
 		return stap.Compress(p, b.bc, b.comps[widx], b.pairs[blk.Lo:blk.Hi])
 	})
 	if err != nil {
@@ -337,33 +344,30 @@ func (b *bandedRun) processBand(src BandedSource, seq uint64, lo, hi int, slab *
 }
 
 // solve finishes one bin set's covariance accumulation, smooths, and
-// solves the weights — the banded counterpart of the pipeline's
+// solves the weights into ws — the banded counterpart of the pipeline's
 // solveWeightSet, sharded the same way.
-func (b *bandedRun) solve(clk *stageClock, acc *stap.CovAccumulator, sm *stap.CovarianceSmoother, bins []int, hard bool, seq uint64, workers int) (*stap.WeightSet, error) {
+func (b *bandedRun) solve(clk *stageClock, acc *stap.CovAccumulator, sm *stap.CovarianceSmoother, s *stap.WeightSolver, ws *stap.WeightSet, seq uint64, workers int) error {
 	t0 := time.Now()
 	defer func() { clk.add(time.Since(t0)) }()
+	hard := s == b.solvHard
 	est, err := acc.Finish()
 	if err != nil {
-		return nil, fmt.Errorf("pipexec: banded %s covariances CPI %d: %w", setName(hard), seq, err)
+		return fmt.Errorf("pipexec: banded %s covariances CPI %d: %w", setName(hard), seq, err)
 	}
 	covs := sm.Update(est)
-	ws := &stap.WeightSet{Bins: bins, W: make([][][]complex128, len(bins)), Seq: seq}
-	err = parallel(workers, len(bins), func(_ int, blk cube.Block) error {
-		part, err := stap.SolveWeights(b.p, covs[blk.Lo:blk.Hi], bins[blk.Lo:blk.Hi], seq)
-		if err != nil {
-			return err
-		}
-		copy(ws.W[blk.Lo:blk.Hi], part.W)
-		return nil
+	s.Grow(workers)
+	err = parallel(workers, len(s.Bins()), func(widx int, blk cube.Block) error {
+		return s.Solve(widx, covs, blk, ws)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("pipexec: banded %s weights CPI %d: %w", setName(hard), seq, err)
+		return fmt.Errorf("pipexec: banded %s weights CPI %d: %w", setName(hard), seq, err)
 	}
-	// SolveWeights clones the covariances it factors, and with smoothing
-	// the smoother holds its own copies — resetting the accumulator for
-	// the next CPI is safe in both lambda regimes.
+	ws.Seq = seq
+	// The solve copies the covariances it factors, and with smoothing the
+	// smoother holds its own copies — resetting the accumulator for the
+	// next CPI is safe in both lambda regimes.
 	acc.Reset()
-	return ws, nil
+	return nil
 }
 
 // bandedCFAR mirrors the pipeline's runCFAR exactly — same worker-block

@@ -2,8 +2,11 @@ package pipexec
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
+	"stapio/internal/cube"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
 )
@@ -169,5 +172,75 @@ func TestPoolsRecycleOnDrops(t *testing.T) {
 	if bufs > bound {
 		t.Errorf("read buffers: %d allocated across %d CPIs with faults, want <= %d (drop/retry paths leak buffers)",
 			bufs, cpis, bound)
+	}
+}
+
+// Weight sets circulate between each weight stage and its beamforming
+// stage: the beamformer hands back the set it replaces, and the weight
+// stage solves the next CPI into it. Over a long run the sets ever built
+// stay within the weight channel's depth — also when solves fail and
+// DegradeLastGoodWeights copies the last good set into a recycled one, and
+// when a random schedule changes the worker counts between CPIs. The
+// detections must match a fixed-worker run over the same poisoned input,
+// so a set handed back while still in use would show up as a diff.
+func TestWeightSetsRecycledUnderFallbackAndRebalance(t *testing.T) {
+	s := radar.SmallTestScenario()
+	poisoned := &MemSource{Generate: func(seq uint64) (*cube.Cube, error) {
+		cb, err := s.Generate(seq)
+		if err != nil {
+			return nil, err
+		}
+		if seq%7 == 3 {
+			nan := float32(math.NaN())
+			for i := range cb.Data {
+				cb.Data[i] = complex(nan, nan)
+			}
+		}
+		return cb, nil
+	}}
+	const cpis = 48
+	cfg := testConfig()
+	cfg.Buffer = 2
+	cfg.Degrade = DegradeLastGoodWeights
+	want, err := Run(context.Background(), cfg, poisoned, cpis)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
+		set(rng.Intn(7), 1+rng.Intn(4))
+	}
+	h, err := Stream(context.Background(), cfg, poisoned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]CPIResult, cpis)
+	for i := range got {
+		res, ok := <-h.Results
+		if !ok {
+			t.Fatal("results channel closed early")
+		}
+		got[i] = res
+	}
+	res, err := h.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb := res.Stats.WeightFallbacks; fb < 2*(cpis/7) {
+		t.Errorf("%d weight fallbacks, want at least %d (two per poisoned CPI)", fb, 2*(cpis/7))
+	}
+	for i, c := range got {
+		if c.Seq != want.CPIs[i].Seq || !sameDetections(c.Detections, want.CPIs[i].Detections) {
+			t.Errorf("CPI %d: detections diverge from the fixed-worker run", i)
+		}
+	}
+	// Channel slots (Buffer+1), the set being solved and the set being
+	// beamformed with; the initial conventional set joins the circulation.
+	bound := int64(cfg.Buffer + 3)
+	for _, wp := range []*weightPool{h.r.pools.easyW, h.r.pools.hardW} {
+		if n := wp.news.Load(); n < 1 || n > bound {
+			t.Errorf("%d weight sets built over %d CPIs, want 1..%d", n, cpis, bound)
+		}
 	}
 }

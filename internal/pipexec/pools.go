@@ -23,7 +23,7 @@ type dopplerHandle struct {
 }
 
 // pipePools recycles the large per-CPI intermediates of one pipeline run —
-// Doppler cubes and beam cubes — so steady-state CPIs reuse the buffers of
+// Doppler cubes, beam cubes and weight sets — so steady-state CPIs reuse the buffers of
 // CPIs that already drained instead of allocating fresh ones. Both cube
 // kinds are fully overwritten by their producing stage (the union of range
 // blocks covers every gate; easy and hard bins together cover every bin),
@@ -38,6 +38,10 @@ type pipePools struct {
 
 	dopplerNews atomic.Int64
 	beamNews    atomic.Int64
+
+	// Weight sets of the easy and hard bin sets; built by launch, which
+	// knows the channel depth they must cover.
+	easyW, hardW *weightPool
 }
 
 func newPipePools(p *stap.Params) *pipePools {
@@ -91,4 +95,44 @@ func (pl *pipePools) putBeam(bc *stap.BeamCube) {
 // garbage collector.
 func (r *runner) recycleCube(cb *cube.Cube) {
 	r.src.Recycle(cb)
+}
+
+// weightPool recycles one bin set's WeightSets between its weight stage,
+// which solves each CPI's weights into a set it takes from the pool, and
+// its beamforming stage, which hands back the set it was beamforming with
+// as soon as the next CPI's set replaces it — the weight-stage analogue of
+// the Doppler hand-back. The free list is a buffered channel sized to hold
+// every set in flight, so put never blocks and news stays bounded by the
+// pipeline depth.
+type weightPool struct {
+	p    *stap.Params
+	bins []int
+	free chan *stap.WeightSet
+	news atomic.Int64
+}
+
+// newWeightPool sizes the free list for a weight channel of buf+1 slots
+// plus the set being solved, the one blocked in send, and the one
+// beamforming holds.
+func newWeightPool(p *stap.Params, bins []int, buf int) *weightPool {
+	return &weightPool{p: p, bins: bins, free: make(chan *stap.WeightSet, buf+4)}
+}
+
+// get leases a set to solve into; its contents are stale until overwritten.
+func (wp *weightPool) get() *stap.WeightSet {
+	select {
+	case ws := <-wp.free:
+		return ws
+	default:
+		wp.news.Add(1)
+		return stap.NewWeightSet(wp.p, wp.bins)
+	}
+}
+
+// put returns a set no stage reads any more.
+func (wp *weightPool) put(ws *stap.WeightSet) {
+	select {
+	case wp.free <- ws:
+	default:
+	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"stapio/internal/core"
 	"stapio/internal/cube"
-	"stapio/internal/linalg"
 	"stapio/internal/membudget"
 	"stapio/internal/stap"
 	"stapio/internal/tune"
@@ -424,8 +423,10 @@ func (r *runner) launch(buf int) *sync.WaitGroup {
 	// on a CPI boundary.
 	spawn(func() error { return r.readStage(r.ck.read, cubeCh) })
 	spawn(func() error { return r.dopplerStage(r.ck.dop, cubeCh, weIn, whIn, bfeIn, bfhIn) })
-	spawn(func() error { return r.weightStage(r.ck.we, weIn, weOut, r.easyBins, false, tsEasyWeight) })
-	spawn(func() error { return r.weightStage(r.ck.wh, whIn, whOut, r.hardBins, true, tsHardWeight) })
+	r.pools.easyW = newWeightPool(r.p, r.easyBins, buf)
+	r.pools.hardW = newWeightPool(r.p, r.hardBins, buf)
+	spawn(func() error { return r.weightStage(r.ck.we, weIn, weOut, r.pools.easyW, false, tsEasyWeight) })
+	spawn(func() error { return r.weightStage(r.ck.wh, whIn, whOut, r.pools.hardW, true, tsHardWeight) })
 	// pcIn has two producers, so neither BF stage may close it alone; a
 	// closer goroutine does once both have exited. Downstream termination
 	// is therefore by channel close, which stays correct when a skip
@@ -442,8 +443,8 @@ func (r *runner) launch(buf int) *sync.WaitGroup {
 			}
 		}()
 	}
-	spawnBF(func() error { return r.bfStage(r.ck.bfe, bfeIn, weOut, pcIn, r.easyBins, tsEasyBF) })
-	spawnBF(func() error { return r.bfStage(r.ck.bfh, bfhIn, whOut, pcIn, r.hardBins, tsHardBF) })
+	spawnBF(func() error { return r.bfStage(r.ck.bfe, bfeIn, weOut, pcIn, r.pools.easyW, tsEasyBF) })
+	spawnBF(func() error { return r.bfStage(r.ck.bfh, bfhIn, whOut, pcIn, r.pools.hardW, tsHardBF) })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -928,9 +929,19 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 // Doppler bins, and feeds them forward for the next CPI's beamforming.
 // When Params.Forgetting is set, the stage smooths the covariance
 // estimates across CPIs exactly as the sequential reference chain does.
-func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, bins []int, hard bool, slot int) error {
+// The stage owns a WeightSolver (steering table, covariance matrices,
+// per-worker scratch) and solves each CPI into a set leased from pool, so
+// in steady state it allocates nothing.
+func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, pool *weightPool, hard bool, slot int) error {
 	defer close(out)
+	solver, err := stap.NewWeightSolver(r.p, pool.bins, hard)
+	if err != nil {
+		return fmt.Errorf("pipexec: %s weights: %w", setName(hard), err)
+	}
 	smoother := stap.CovarianceSmoother{Lambda: r.p.Forgetting}
+	// Under DegradeLastGoodWeights, a private copy of the last set that
+	// solved: the sets sent downstream go back to the pool and are
+	// overwritten, so the fallback cannot alias one.
 	var lastGood *stap.WeightSet
 	for {
 		msg, ok := recv(r, in)
@@ -938,9 +949,10 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 			return nil
 		}
 		workers := r.workersFor(slot)
+		solver.Grow(workers)
 		t0 := time.Now()
-		ws, err := r.solveWeightSet(&smoother, msg, bins, hard, workers)
-		if err != nil {
+		ws := pool.get()
+		if err := r.solveWeightSet(solver, &smoother, msg, ws, hard, workers); err != nil {
 			// Under the last-good-weights policy a failed solve (e.g. a
 			// singular covariance from degraded data) degrades the CPI
 			// instead of killing the run: beamform with the weights of
@@ -949,10 +961,14 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 				return fmt.Errorf("pipexec: %s weights CPI %d: %w", setName(hard), msg.seq, err)
 			}
 			r.stats.weightFallbacks.Add(1)
-			ws = &stap.WeightSet{Bins: lastGood.Bins, W: lastGood.W, Seq: msg.seq}
-		} else {
-			lastGood = ws
+			ws.CopyFrom(lastGood)
+		} else if r.cfg.Degrade == DegradeLastGoodWeights {
+			if lastGood == nil {
+				lastGood = solver.NewWeightSet()
+			}
+			lastGood.CopyFrom(ws)
 		}
+		ws.Seq = msg.seq
 		if r.pools.releaseDoppler(msg.h) {
 			r.releaseMem(r.dopB)
 		}
@@ -964,39 +980,27 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 }
 
 // solveWeightSet estimates covariances and solves the adaptive weights for
-// one CPI's bin set.
-func (r *runner) solveWeightSet(smoother *stap.CovarianceSmoother, msg dopplerMsg, bins []int, hard bool, workers int) (*stap.WeightSet, error) {
+// one CPI's bin set into ws.
+func (r *runner) solveWeightSet(s *stap.WeightSolver, smoother *stap.CovarianceSmoother, msg dopplerMsg, ws *stap.WeightSet, hard bool, workers int) error {
 	load := r.cfg.StageLoad.EasyWeight
 	if hard {
 		load = r.cfg.StageLoad.HardWeight
 	}
-	est := make([]*linalg.Matrix, len(bins))
-	err := parallel(workers, len(bins), func(_ int, blk cube.Block) error {
-		part, err := stap.EstimateCovariances(r.p, msg.h.dc, bins[blk.Lo:blk.Hi], hard)
-		if err != nil {
+	n := len(s.Bins())
+	err := parallel(workers, n, func(widx int, blk cube.Block) error {
+		if err := s.Estimate(widx, msg.h.dc, blk); err != nil {
 			return err
 		}
-		copy(est[blk.Lo:blk.Hi], part)
 		r.stageSleep(load, blk.Len())
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	covs := smoother.Update(est)
-	ws := &stap.WeightSet{Bins: bins, W: make([][][]complex128, len(bins)), Seq: msg.seq}
-	err = parallel(workers, len(bins), func(_ int, blk cube.Block) error {
-		part, err := stap.SolveWeights(r.p, covs[blk.Lo:blk.Hi], bins[blk.Lo:blk.Hi], msg.seq)
-		if err != nil {
-			return err
-		}
-		copy(ws.W[blk.Lo:blk.Hi], part.W)
-		return nil
+	covs := smoother.Update(s.Covariances())
+	return parallel(workers, n, func(widx int, blk cube.Block) error {
+		return s.Solve(widx, covs, blk, ws)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return ws, nil
 }
 
 func setName(hard bool) string {
@@ -1011,11 +1015,12 @@ func setName(hard bool) string {
 // delivered" rather than "seq-1": when a skip policy drops a CPI the
 // weight stream simply misses that sequence number, and beamforming
 // continues from the weights of the last CPI that made it through.
-func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, bins []int, slot int) error {
+func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, pool *weightPool, slot int) error {
 	load := r.cfg.StageLoad.EasyBF
 	if slot == tsHardBF {
 		load = r.cfg.StageLoad.HardBF
 	}
+	bins := pool.bins
 	cur := stap.InitialWeights(r.p, bins)
 	first := true
 	var prevSeq uint64
@@ -1032,6 +1037,9 @@ func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *
 			if ws.Seq != prevSeq {
 				return fmt.Errorf("pipexec: beamforming CPI %d got weights for CPI %d, want CPI %d", msg.seq, ws.Seq, prevSeq)
 			}
+			// The previous CPI's beamforming has finished with cur: hand it
+			// back to the weight stage to solve a later CPI into.
+			pool.put(cur)
 			cur = ws
 		}
 		first = false

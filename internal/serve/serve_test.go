@@ -162,6 +162,12 @@ func TestServeRoundTripMatchesSequentialReference(t *testing.T) {
 			t.Errorf("CPI %d: non-positive latency %v / %v", k, r.Latency, r.ServerLatency)
 		}
 	}
+	// A result can reach the client before the server has tallied its
+	// write; Shutdown returns once every admitted CPI is answered and
+	// counted, so the books are read after it rather than after a delay.
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	st := srv.Stats()
 	if st.Accepted != n || st.ResultsSent != n || st.Orphaned != 0 {
 		t.Errorf("stats: accepted=%d results=%d orphaned=%d, want %d/%d/0",
@@ -641,30 +647,19 @@ func TestServerKillFailsPendingSubmitsPromptly(t *testing.T) {
 	}
 	srv.Kill()
 
+	// Every pending CPI is answered — a result or a typed failure — and
+	// then Results closes, because the reader noticed the dead connection.
+	// A hang here is the failure this test exists to catch; the test
+	// binary's timeout reports it.
 	answered := 0
-	deadline := time.After(10 * time.Second)
-	for answered < n {
-		select {
-		case r, ok := <-cl.Results():
-			if !ok {
-				t.Fatalf("Results closed after %d of %d answers", answered, n)
-			}
-			if r.Err != nil && !errors.Is(r.Err, ErrClosed) && !errors.Is(r.Err, ErrDraining) {
-				t.Errorf("CPI %d failed with untyped error: %v", r.Seq, r.Err)
-			}
-			answered++
-		case <-deadline:
-			t.Fatalf("only %d of %d pending CPIs answered after the kill; the rest hang", answered, n)
+	for r := range cl.Results() {
+		if r.Err != nil && !errors.Is(r.Err, ErrClosed) && !errors.Is(r.Err, ErrDraining) {
+			t.Errorf("CPI %d failed with untyped error: %v", r.Seq, r.Err)
 		}
+		answered++
 	}
-	// The reader noticed the dead connection; the channel must now close.
-	select {
-	case _, ok := <-cl.Results():
-		if ok {
-			t.Error("extra result after all pending CPIs were answered")
-		}
-	case <-time.After(5 * time.Second):
-		t.Error("Results did not close after the connection died")
+	if answered != n {
+		t.Errorf("%d answers before Results closed, want one per pending CPI (%d)", answered, n)
 	}
 	// A killed server must also settle its own books: nothing in flight.
 	if st := srv.Stats(); st.InFlight != 0 {

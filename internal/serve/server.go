@@ -301,10 +301,18 @@ func (s *Server) openIngest(j job, h cube.Header) (*ingest, error) {
 
 // finishJob streams one completed CPI's reports back to its producer and
 // returns the admission token. Runs on the replica's result router.
+//
+// The token goes back before the result is written: a producer keeping to
+// the advertised window submits its next CPI the moment it reads this
+// result, and must find the slot free. The CPI stays outstanding — and
+// counted against a drain — until the write has finished and been
+// tallied, so a Shutdown that has waited for outstanding to reach zero
+// sees every result flushed and counted.
 func (s *Server) finishJob(j job, res pipexec.CPIResult) {
-	defer s.release()
 	s.stats.completed.Add(1)
 	payload := append(encodeResultPrefix(int64(time.Since(j.t0))), pipexec.EncodeReports(j.seq, res.Detections)...)
+	s.tokens <- struct{}{}
+	defer s.outstanding.Add(-1)
 	if err := j.conn.send(fResult, payload); err != nil {
 		s.stats.orphaned.Add(1)
 		return
@@ -339,8 +347,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// have stopped, so nothing can still answer (or double-count) a CPI.
 		// Jobs that completed during the stop were routed normally, and
 		// parked repairs were released and counted by their reader's unwind;
-		// whatever is still outstanding is exactly the abandoned set.
-		if n := s.outstanding.Load(); n > 0 {
+		// whatever is still outstanding is exactly the abandoned set, and
+		// no longer in flight.
+		if n := s.outstanding.Swap(0); n > 0 {
 			s.stats.orphaned.Add(n)
 		}
 	})
@@ -373,7 +382,7 @@ func (s *Server) Kill() {
 		s.wg.Wait()
 		// Same accounting as Shutdown: with the replicas and readers stopped,
 		// whatever is still outstanding is exactly the abandoned set.
-		if n := s.outstanding.Load(); n > 0 {
+		if n := s.outstanding.Swap(0); n > 0 {
 			s.stats.orphaned.Add(n)
 		}
 	})

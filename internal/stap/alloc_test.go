@@ -1,18 +1,20 @@
 package stap
 
 import (
+	"math/bits"
 	"testing"
 
 	"stapio/internal/cube"
 	"stapio/internal/radar"
 )
 
-// The Doppler→CFAR hot path — Doppler filtering, beamforming, pulse
-// compression, and CFAR — must not allocate in steady state once its
-// per-worker scratch state (DopplerScratch, weight sets, Compressor,
-// CFARScratch) is built. These regression tests pin that property with
-// testing.AllocsPerRun so a future change that re-introduces per-CPI
-// allocation fails CI rather than quietly eroding throughput.
+// The Doppler→CFAR hot path — Doppler filtering, weight computation,
+// beamforming, pulse compression, and CFAR — must not allocate in steady
+// state once its per-worker scratch state (DopplerScratch, WeightSolver,
+// weight sets, Compressor, CFARScratch) is built. These regression tests
+// pin that property with testing.AllocsPerRun so a future change that
+// re-introduces per-CPI allocation fails CI rather than quietly eroding
+// throughput.
 
 func allocTestSetup(t testing.TB) (Params, *cube.Cube) {
 	t.Helper()
@@ -110,6 +112,71 @@ func TestCovAccumulatorZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("CovAccumulator cycle allocated %v times per CPI, want 0", n)
+	}
+}
+
+func TestWeightSolverZeroAlloc(t *testing.T) {
+	// Weight computation is steady state too once the solver (steering
+	// table, covariance matrices, worker scratch) and the weight set are
+	// built: estimate + smooth + solve must not allocate, on easy and hard
+	// bins, with and without covariance smoothing (the smoother's first
+	// update copies its state; later ones blend in place).
+	p, cb := allocTestSetup(t)
+	dc, err := DopplerFilter(&p, cb, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forgetting := range []float64{0, 0.8} {
+		for _, hard := range []bool{false, true} {
+			bins := p.EasyBins()
+			if hard {
+				bins = p.HardBins()
+			}
+			s, err := NewWeightSolver(&p, bins, hard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := CovarianceSmoother{Lambda: forgetting}
+			ws := s.NewWeightSet()
+			all := cube.Block{Lo: 0, Hi: len(bins)}
+			cycle := func() {
+				if err := s.Estimate(0, dc, all); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Solve(0, sm.Update(s.Covariances()), all, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cycle()
+			if n := testing.AllocsPerRun(10, cycle); n != 0 {
+				t.Errorf("hard=%v lambda=%g: weight solve allocated %v times per CPI, want 0", hard, forgetting, n)
+			}
+		}
+	}
+}
+
+func TestProcessorSteadyStateAllocs(t *testing.T) {
+	// The sequential chain reuses every intermediate across Process calls,
+	// so after the first CPI the only allocations left are the returned
+	// detection slice growing by appends (at most one per doubling).
+	p, cb := allocTestSetup(t)
+	pr, err := NewProcessor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.Process(cb, 0); err != nil {
+		t.Fatal(err)
+	}
+	var dets int
+	n := testing.AllocsPerRun(10, func() {
+		d, err := pr.Process(cb, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets = len(d)
+	})
+	if bound := float64(bits.Len(uint(dets))); n > bound {
+		t.Errorf("Process allocated %v times per CPI with %d detections, want <= %v", n, dets, bound)
 	}
 }
 

@@ -78,17 +78,13 @@ const covPanelGates = 16
 // the snapshot length (full DoF with TrainHard gates vs first-stagger with
 // TrainEasy gates). Snapshots are packed into fixed-width panels and
 // folded in with the blocked Hermitian update (linalg.AccumulatePanel)
-// instead of one rank-1 update per gate.
+// instead of one rank-1 update per gate. It allocates fresh matrices; the
+// pipelines estimate into a WeightSolver's instead.
 func EstimateCovariances(p *Params, dc *DopplerCube, bins []int, hard bool) ([]*linalg.Matrix, error) {
-	if dc.Ranges != p.Dims.Ranges || dc.Channels != p.Dims.Channels {
-		return nil, fmt.Errorf("stap: doppler cube geometry mismatch")
+	if err := checkDopplerGeometry(p, dc); err != nil {
+		return nil, err
 	}
-	train := p.TrainEasy
-	if hard {
-		train = p.TrainHard
-	}
-	gates := trainingGates(dc.Ranges, train)
-	inv := 1 / float64(len(gates))
+	gates := trainingGates(dc.Ranges, trainCount(p, hard))
 	covs := make([]*linalg.Matrix, len(bins))
 	var panel []complex128
 	for i, d := range bins {
@@ -99,22 +95,48 @@ func EstimateCovariances(p *Params, dc *DopplerCube, bins []int, hard bool) ([]*
 		if len(panel) < covPanelGates*dof {
 			panel = make([]complex128, covPanelGates*dof)
 		}
-		r := linalg.NewMatrix(dof, dof)
-		for g0 := 0; g0 < len(gates); g0 += covPanelGates {
-			g1 := min(g0+covPanelGates, len(gates))
-			for t, g := range gates[g0:g1] {
-				copy(panel[t*dof:(t+1)*dof], dc.Snapshot(d, g)[:dof])
-			}
-			r.AccumulatePanel(panel, g1-g0, inv)
-		}
-		covs[i] = r
+		covs[i] = linalg.NewMatrix(dof, dof)
+		estimateBin(dc, d, gates, covs[i], panel)
 	}
 	return covs, nil
 }
 
+func checkDopplerGeometry(p *Params, dc *DopplerCube) error {
+	if dc.Ranges != p.Dims.Ranges || dc.Channels != p.Dims.Channels {
+		return fmt.Errorf("stap: doppler cube geometry mismatch")
+	}
+	return nil
+}
+
+func trainCount(p *Params, hard bool) int {
+	if hard {
+		return p.TrainHard
+	}
+	return p.TrainEasy
+}
+
+// estimateBin overwrites r (DoF x DoF) with bin d's sample covariance over
+// the training gates, packing snapshots through panel (at least
+// covPanelGates*DoF long). The panel boundaries are the global
+// covPanelGates ones every estimator shares.
+func estimateBin(dc *DopplerCube, d int, gates []int, r *linalg.Matrix, panel []complex128) {
+	dof := r.Rows
+	inv := 1 / float64(len(gates))
+	clear(r.Data)
+	for g0 := 0; g0 < len(gates); g0 += covPanelGates {
+		g1 := min(g0+covPanelGates, len(gates))
+		for t, g := range gates[g0:g1] {
+			copy(panel[t*dof:(t+1)*dof], dc.Snapshot(d, g)[:dof])
+		}
+		r.AccumulatePanel(panel, g1-g0, inv)
+	}
+}
+
 // SolveWeights turns per-bin covariance estimates into MVDR weights:
 // diagonal loading, one Cholesky per bin, one pair of triangular solves
-// per beam, unit-gain normalisation toward the steering direction.
+// per beam, unit-gain normalisation toward the steering direction. It
+// allocates the result and its scratch; the pipelines solve through a
+// WeightSolver, which runs the same arithmetic without allocating.
 func SolveWeights(p *Params, covs []*linalg.Matrix, bins []int, seq uint64) (*WeightSet, error) {
 	if len(covs) != len(bins) {
 		return nil, fmt.Errorf("stap: %d covariances for %d bins", len(covs), len(bins))
@@ -122,49 +144,59 @@ func SolveWeights(p *Params, covs []*linalg.Matrix, bins []int, seq uint64) (*We
 	ws := &WeightSet{Bins: append([]int(nil), bins...), W: make([][][]complex128, len(bins)), Seq: seq}
 	for i, d := range bins {
 		dof := p.DoF(d)
-		if covs[i].Rows != dof || covs[i].Cols != dof {
-			return nil, fmt.Errorf("stap: covariance for bin %d is %dx%d, want %d",
-				d, covs[i].Rows, covs[i].Cols, dof)
-		}
-		// Diagonal loading relative to the average diagonal power keeps
-		// the estimate well-conditioned when training is light. Work on a
-		// copy so the caller's (possibly smoothed) estimate is preserved.
-		r := covs[i].Clone()
-		var trace float64
-		for k := 0; k < dof; k++ {
-			trace += real(r.At(k, k))
-		}
-		load := p.DiagonalLoad*trace/float64(dof) + 1e-12
-		r.AddScaledIdentity(complex(load, 0))
-
-		l, err := linalg.Cholesky(r)
-		if err != nil {
-			return nil, fmt.Errorf("stap: covariance for bin %d: %w", d, err)
-		}
-		perBeam := make([][]complex128, len(p.Beams))
+		steer := make([][]complex128, len(p.Beams))
+		ws.W[i] = make([][]complex128, len(p.Beams))
 		for b, u := range p.Beams {
-			t := p.Steering(u, d)
-			y, err := linalg.SolveLower(l, t)
-			if err != nil {
-				return nil, fmt.Errorf("stap: solve bin %d beam %d: %w", d, b, err)
-			}
-			w, err := linalg.SolveUpperH(l, y)
-			if err != nil {
-				return nil, fmt.Errorf("stap: solve bin %d beam %d: %w", d, b, err)
-			}
-			// Normalise for unit gain on the steering direction:
-			// w <- w / (t^H w), the MVDR distortionless response.
-			g := linalg.Dot(t, w)
-			if g != 0 {
-				for k := range w {
-					w[k] /= g
-				}
-			}
-			perBeam[b] = w
+			steer[b] = p.Steering(u, d)
+			ws.W[i][b] = make([]complex128, dof)
 		}
-		ws.W[i] = perBeam
+		if err := solveBin(p, covs[i], d, steer, linalg.NewMatrix(dof, dof), make([]complex128, dof), ws.W[i]); err != nil {
+			return nil, err
+		}
 	}
 	return ws, nil
+}
+
+// solveBin is the MVDR solve of one bin: cov is copied into fac (the
+// caller's estimate, possibly smoothed, is preserved), diagonally loaded
+// and factored in place; each beam's weight vector is solved into
+// out[b] through the scratch y and normalised to unit gain on steer[b].
+// fac is DoF x DoF and y, out[b] have DoF elements.
+func solveBin(p *Params, cov *linalg.Matrix, d int, steer [][]complex128, fac *linalg.Matrix, y []complex128, out [][]complex128) error {
+	dof := fac.Rows
+	if cov.Rows != dof || cov.Cols != dof {
+		return fmt.Errorf("stap: covariance for bin %d is %dx%d, want %d", d, cov.Rows, cov.Cols, dof)
+	}
+	// Diagonal loading relative to the average diagonal power keeps the
+	// estimate well-conditioned when training is light.
+	copy(fac.Data, cov.Data)
+	var trace float64
+	for k := 0; k < dof; k++ {
+		trace += real(fac.At(k, k))
+	}
+	load := p.DiagonalLoad*trace/float64(dof) + 1e-12
+	fac.AddScaledIdentity(complex(load, 0))
+	if err := linalg.CholeskyInto(fac, fac); err != nil {
+		return fmt.Errorf("stap: covariance for bin %d: %w", d, err)
+	}
+	for b, t := range steer {
+		w := out[b]
+		if err := linalg.SolveLowerInto(y, fac, t); err != nil {
+			return fmt.Errorf("stap: solve bin %d beam %d: %w", d, b, err)
+		}
+		if err := linalg.SolveUpperHInto(w, fac, y); err != nil {
+			return fmt.Errorf("stap: solve bin %d beam %d: %w", d, b, err)
+		}
+		// Normalise for unit gain on the steering direction:
+		// w <- w / (t^H w), the MVDR distortionless response.
+		g := linalg.Dot(t, w)
+		if g != 0 {
+			for k := range w {
+				w[k] /= g
+			}
+		}
+	}
+	return nil
 }
 
 // ComputeWeights computes adaptive weights for the listed Doppler bins
@@ -220,21 +252,21 @@ func (s *CovarianceSmoother) Update(est []*linalg.Matrix) []*linalg.Matrix {
 // the listed bins: w = t / (t^H t). The pipeline uses them for the first
 // CPI, before any previous-CPI training data exists.
 func InitialWeights(p *Params, bins []int) *WeightSet {
-	ws := &WeightSet{Bins: append([]int(nil), bins...), W: make([][][]complex128, len(bins))}
+	ws := NewWeightSet(p, bins)
 	for i, d := range bins {
-		perBeam := make([][]complex128, len(p.Beams))
 		for b, u := range p.Beams {
-			t := p.Steering(u, d)
-			g := linalg.Dot(t, t)
-			w := make([]complex128, len(t))
-			for k := range t {
-				w[k] = t[k] / g
-			}
-			perBeam[b] = w
+			conventional(ws.W[i][b], p.Steering(u, d))
 		}
-		ws.W[i] = perBeam
 	}
 	return ws
+}
+
+// conventional writes the unit-gain conventional weights t / (t^H t).
+func conventional(w, t []complex128) {
+	g := linalg.Dot(t, t)
+	for k := range t {
+		w[k] = t[k] / g
+	}
 }
 
 func setName(hard bool) string {
