@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check ledger bench benchjson bench5 bench6 bench7 bench8 bench9 benchregress smoke
+.PHONY: all build vet test race check ledger bench benchjson bench5 bench6 bench8 bench9 benchregress smoke
 
 all: check
 
@@ -51,14 +51,6 @@ bench5:
 # Median of three runs; BENCH_5.json rides along as the before section.
 bench6:
 	$(GO) run ./cmd/benchjson -bench 'BenchmarkAutoTune' -benchtime 1x -repeat 3 -before BENCH_5.json -o BENCH_6.json
-
-# Refresh the committed streaming-ingest record: framed vs streamed
-# submission over loopback TCP at a fixed CPI count, plus the
-# slow-producer autotune scenario over synchronous in-process pipes
-# (cold-start vs converged arrival rate, warmup-x is the tuner's gain).
-# Median of three runs.
-bench7:
-	$(GO) run ./cmd/benchjson -pkg ./internal/serve -bench 'BenchmarkServeFramedLoopback|BenchmarkServeStreamLoopback|BenchmarkServeStreamAutotune' -benchtime 1x -repeat 3 -o BENCH_7.json
 
 # Refresh the committed out-of-core record: one chunked striped dataset
 # processed unlimited, under a quarter-of-peak budget with the spill tier

@@ -6,7 +6,7 @@
 //	staploadgen -addr 127.0.0.1:7420 -n 500
 //	staploadgen -addr 127.0.0.1:7420 -n 500 -window 4 -json BENCH_4.json
 //	staploadgen -addr 127.0.0.1:7420 -faults corrupt=0.1,seed=7
-//	staploadgen -addr 127.0.0.1:7420 -stream -chunkpace 200us
+//	staploadgen -addr 127.0.0.1:7420 -chunkpace 200us
 //	staploadgen -addr 127.0.0.1:7420 -arrivals poisson -rate 400 -n 2000
 //	staploadgen -addr host1:7420,host2:7420,host3:7420 -n 1000
 //
@@ -22,10 +22,9 @@
 // is far slower than the pipeline) and replays them round-robin, restamping
 // each submission's sequence number. With -faults it corrupts payload
 // chunks on the wire, exercising the server's chunk re-request repair; a
-// repaired CPI still counts as delivered, not dropped. With -stream the
-// cubes cross the wire chunk-by-chunk (no file image server-side);
-// -chunkpace additionally throttles the chunk stream to model a slow
-// front-end producer.
+// repaired CPI still counts as delivered, not dropped. Cubes cross the
+// wire chunk-by-chunk (no file image server-side); -chunkpace throttles
+// the chunk stream to model a slow front-end producer.
 //
 // The default arrival process is closed-loop: the next submit waits for a
 // free window slot, so offered load tracks service rate. -arrivals poisson
@@ -70,8 +69,7 @@ func main() {
 		templates = flag.Int("templates", 8, "distinct pre-encoded CPIs replayed round-robin")
 		chunk     = flag.Int("chunk", 4096, "cube chunk size in bytes (multiple of 8)")
 		faultSpec = flag.String("faults", "", "wire fault spec, e.g. corrupt=0.1,seed=7 (empty = clean)")
-		stream    = flag.Bool("stream", false, "chunk-streamed submits: cubes cross the wire chunk-by-chunk and decode server-side without a file image")
-		chunkPace = flag.Duration("chunkpace", 0, "minimum delay between streamed chunks, modelling a slow producer (requires -stream)")
+		chunkPace = flag.Duration("chunkpace", 0, "minimum delay between streamed chunks, modelling a slow producer")
 		arrivals  = flag.String("arrivals", "closed", "arrival process: closed (next submit waits for a window slot) | poisson (open-loop exponential inter-arrivals at -rate)")
 		rate      = flag.Float64("rate", 0, "offered arrival rate in CPIs/s for -arrivals poisson")
 		seed      = flag.Int64("seed", 1, "arrival-process RNG seed")
@@ -100,9 +98,6 @@ func main() {
 		}
 	default:
 		fatal(fmt.Errorf("unknown -arrivals %q (want closed or poisson)", *arrivals))
-	}
-	if *chunkPace > 0 && !*stream {
-		fatal(fmt.Errorf("-chunkpace requires -stream"))
 	}
 
 	s, err := scenarioByName(*scenario)
@@ -134,7 +129,7 @@ func main() {
 	opts := genOptions{
 		n: *n, window: *window, phaseK: *phaseK, pace: *pace,
 		arrivals: *arrivals, rate: *rate, seed: *seed,
-		stream: *stream, chunkPace: *chunkPace,
+		chunkPace: *chunkPace,
 	}
 	var run *Run
 	if len(addrs) == 1 && len(healths) == 0 {
@@ -150,7 +145,6 @@ func main() {
 	run.Scenario = *scenario
 	run.ChunkSize = *chunk
 	run.Faults = *faultSpec
-	run.Streaming = *stream
 	if *arrivals == "poisson" {
 		run.Arrivals = *arrivals
 		run.OfferedRate = *rate
@@ -212,14 +206,13 @@ func splitList(v string) []string {
 
 // Run is one load-generation run, as appended to the JSON report.
 type Run struct {
-	Timestamp   string  `json:"timestamp"`
-	Addr        string  `json:"addr"`
-	Scenario    string  `json:"scenario"`
-	CPIs        int     `json:"cpis"`
-	Window      int     `json:"window"`
-	ChunkSize   int     `json:"chunk_size"`
-	Faults      string  `json:"faults,omitempty"`
-	Streaming   bool    `json:"streaming,omitempty"`
+	Timestamp string `json:"timestamp"`
+	Addr      string `json:"addr"`
+	Scenario  string `json:"scenario"`
+	CPIs      int    `json:"cpis"`
+	Window    int    `json:"window"`
+	ChunkSize int    `json:"chunk_size"`
+	Faults    string `json:"faults,omitempty"`
 	// Arrivals/OfferedRate record an open-loop run: submissions fired on a
 	// seeded exponential schedule at OfferedRate CPIs/s rather than waiting
 	// for completions.
@@ -273,7 +266,6 @@ type genOptions struct {
 	arrivals          string  // "closed" | "poisson"
 	rate              float64 // offered CPIs/s for poisson
 	seed              int64
-	stream            bool
 	chunkPace         time.Duration
 }
 
@@ -299,8 +291,7 @@ func (o genOptions) schedule() []time.Duration {
 func driveDirect(addr string, s *radar.Scenario, plan *pfs.FaultPlan, frames [][]byte, opts genOptions) (*Run, error) {
 	n := opts.n
 	cl, err := serve.Dial(addr, serve.Options{
-		Dims: s.Dims, Faults: plan, ResultBuffer: 256,
-		Streaming: opts.stream, ChunkPace: opts.chunkPace,
+		Dims: s.Dims, Faults: plan, ResultBuffer: 256, ChunkPace: opts.chunkPace,
 	})
 	if err != nil {
 		return nil, err
@@ -395,8 +386,7 @@ func driveFleetMode(addrs, healths []string, s *radar.Scenario, plan *pfs.FaultP
 		Dims:    s.Dims,
 		Servers: specs,
 		Dial: serve.Options{
-			Faults: plan, ResultBuffer: 256,
-			Streaming: opts.stream, ChunkPace: opts.chunkPace,
+			Faults: plan, ResultBuffer: 256, ChunkPace: opts.chunkPace,
 		},
 		MaxAttempts: retries,
 		CPIDeadline: deadline,

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"stapio/internal/core"
-	"stapio/internal/cube"
 	"stapio/internal/pfs"
 	"stapio/internal/pipexec"
 	"stapio/internal/radar"
@@ -108,7 +107,7 @@ func main() {
 	}
 	fmt.Printf("\ndelivered CPIs identical to the healthy run: %d/%d\n", same, len(degraded.CPIs))
 	fmt.Printf("(%d bytes per CPI; injected faults are a pure function of the seed,\n",
-		cube.FileBytes(scenario.Dims))
+		radar.DatasetFileBytes(scenario.Dims))
 	fmt.Println(" so every run of this example reports the same counters)")
 }
 

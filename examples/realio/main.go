@@ -77,7 +77,7 @@ func main() {
 			dets += len(stap.ClusterDetections(c.Detections, 4))
 		}
 		fmt.Printf("%-32s %d CPIs of %d bytes: %.2f CPIs/s, mean latency %v, %d detections\n",
-			mode, len(res.CPIs), cube.FileBytes(scenario.Dims), res.Throughput,
+			mode, len(res.CPIs), radar.DatasetFileBytes(scenario.Dims), res.Throughput,
 			res.MeanLatency().Round(1e5), dets)
 		return res.Throughput
 	}

@@ -9,8 +9,8 @@ import (
 
 // Format version 3: chunked checksums.
 //
-// A version-3 file inserts a chunk table between the fixed 32-byte header
-// and the sample payload:
+// The chunk table sits between the fixed 32-byte header and the sample
+// payload:
 //
 //	offset  size  field
 //	32      4     chunk size in bytes (uint32, a positive multiple of 8)
@@ -18,15 +18,15 @@ import (
 //	40      4*n   CRC-32C of each payload chunk, in order
 //	40+4n   ...   samples
 //
-// The fixed header is unchanged — its checksum word still covers the whole
-// payload, so v2 tooling semantics carry over — but the per-chunk CRCs let
-// a reader shard verification and decoding across workers, and let a
+// The header's checksum word covers the whole payload; the per-chunk CRCs
+// let a reader shard verification and decoding across workers, and let a
 // corrupt chunk be re-read individually instead of refetching the whole
 // multi-megabyte cube. Every chunk except the last is exactly ChunkSize
 // bytes; chunk boundaries fall on sample boundaries because the chunk size
 // must be a multiple of the 8-byte sample encoding.
 
-// FormatVersionChunked is the first format version carrying a chunk table.
+// FormatVersionChunked is the chunked format version, the only one read
+// and written.
 const FormatVersionChunked = 3
 
 // DefaultChunkSize is the chunk granularity the dataset writer uses: it
@@ -49,19 +49,16 @@ func validChunkSize(chunkSize int) bool {
 	return chunkSize > 0 && chunkSize%8 == 0
 }
 
-// TableBytes returns the size of the header's chunk table — zero for the
-// flat (v1/v2) formats.
+// TableBytes returns the size of the header's chunk table.
 func (h *Header) TableBytes() int64 {
-	if h.Version < FormatVersionChunked {
-		return 0
-	}
 	return chunkTableFixed + 4*int64(chunkCount(h.Bytes(), h.ChunkSize))
 }
 
 // PayloadOffset returns the file offset at which the sample payload starts.
 func (h *Header) PayloadOffset() int64 { return HeaderSize + h.TableBytes() }
 
-// Chunks returns the number of payload chunks (zero for flat formats).
+// Chunks returns the number of payload chunks (zero until the chunk table
+// is decoded).
 func (h *Header) Chunks() int { return len(h.ChunkCRCs) }
 
 // ChunkSpan returns the byte range [lo, hi) of chunk i within the payload.
@@ -74,14 +71,14 @@ func (h *Header) ChunkSpan(i int) (lo, hi int64) {
 	return lo, hi
 }
 
-// FileBytesChunked returns the total encoded size of a version-3 cube file
-// with dimensions d: header, chunk table, payload.
+// FileBytesChunked returns the total encoded size of a cube file with
+// dimensions d: header, chunk table, payload.
 func FileBytesChunked(d Dims, chunkSize int) int64 {
 	return HeaderSize + chunkTableFixed + 4*int64(chunkCount(d.Bytes(), chunkSize)) + d.Bytes()
 }
 
-// EncodeChunked serialises cb with sequence number seq into buf as a
-// version-3 file: samples first, then the chunk table and header carrying
+// EncodeChunked serialises cb with sequence number seq into buf: samples
+// first, then the chunk table and header carrying
 // their checksums. buf must be at least FileBytesChunked(cb.Dims, chunkSize)
 // long. It panics on an invalid chunk size (not a positive multiple of 8) —
 // a programmer error, like invalid dimensions in New.
@@ -89,8 +86,7 @@ func EncodeChunked(cb *Cube, seq uint64, chunkSize int, buf []byte) {
 	if !validChunkSize(chunkSize) {
 		panic(fmt.Sprintf("cube: invalid chunk size %d (want a positive multiple of 8)", chunkSize))
 	}
-	h := Header{Dims: cb.Dims, Seq: seq, HasChecksum: true,
-		Version: FormatVersionChunked, ChunkSize: chunkSize}
+	h := Header{Dims: cb.Dims, Seq: seq, Version: FormatVersionChunked, ChunkSize: chunkSize}
 	off := h.PayloadOffset()
 	payload := buf[off : off+cb.Bytes()]
 	EncodeSamples(cb, payload)
@@ -106,15 +102,12 @@ func EncodeChunked(cb *Cube, seq uint64, chunkSize int, buf []byte) {
 	}
 }
 
-// DecodeChunkTable parses the chunk table of a version-3 header from buf,
-// which starts at file offset HeaderSize, filling h.ChunkSize and
-// h.ChunkCRCs. Flat-format headers are left unchanged. A structurally
+// DecodeChunkTable parses the chunk table of header h from buf, which
+// starts at file offset HeaderSize, filling h.ChunkSize and h.ChunkCRCs.
+// A structurally
 // impossible table (bad chunk size, count disagreeing with the payload
 // size) reports ErrCorrupt; a buffer too short for the table, ErrTruncated.
 func DecodeChunkTable(h *Header, buf []byte) error {
-	if h.Version < FormatVersionChunked {
-		return nil
-	}
 	if len(buf) < chunkTableFixed {
 		return fmt.Errorf("%w: chunk table preamble is %d bytes, want %d", ErrTruncated, len(buf), chunkTableFixed)
 	}
@@ -138,8 +131,8 @@ func DecodeChunkTable(h *Header, buf []byte) error {
 	return nil
 }
 
-// ParseHeader decodes the fixed header and, for chunked files, the chunk
-// table from the front of a whole-file buffer.
+// ParseHeader decodes the fixed header and the chunk table from the front
+// of a whole-file buffer.
 func ParseHeader(buf []byte) (Header, error) {
 	h, err := DecodeHeader(buf)
 	if err != nil {
@@ -179,13 +172,8 @@ func VerifyChunks(h *Header, payload []byte, lo, hi int, bad []int) ([]int, erro
 	return bad, nil
 }
 
-// DecodeChunk parses the samples covered by payload chunk i into cb. For
-// flat formats (no chunk table) it decodes the whole payload.
+// DecodeChunk parses the samples covered by payload chunk i into cb.
 func DecodeChunk(cb *Cube, h *Header, payload []byte, i int) {
-	if h.Chunks() == 0 {
-		DecodeSampleRange(cb, payload, 0, len(cb.Data))
-		return
-	}
 	lo, hi := h.ChunkSpan(i)
 	DecodeSampleRange(cb, payload, int(lo/8), int(hi/8))
 }

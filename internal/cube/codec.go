@@ -12,30 +12,22 @@ import (
 // File format
 //
 // A cube file is the unit the radar writes and the STAP pipeline reads.
-// It begins with a fixed 32-byte header followed by the flat complex64
-// sample array in little-endian (real, imag) float32 pairs:
+// It begins with a fixed 32-byte header, then a chunk table (chunks.go),
+// then the complex64 sample array in little-endian (real, imag) float32
+// pairs:
 //
 //	offset  size  field
 //	0       4     magic "SCPI"
-//	4       4     format version (uint32, currently 2)
+//	4       4     format version (uint32, always 3)
 //	8       4     channels (uint32)
 //	12      4     pulses   (uint32)
 //	16      4     ranges   (uint32)
 //	20      8     CPI sequence number (uint64)
-//	28      4     CRC-32C of the sample payload (v2; zero/unchecked in v1)
-//	32      ...   samples
+//	28      4     CRC-32C of the whole sample payload
+//	32      ...   chunk table, then samples
 //
-// The header size is deliberately smaller than one stripe unit so a file of
-// N stripe units occupies N units plus a header tail; the dataset writer
-// pads the header region to keep samples stripe-aligned when requested.
-//
-// Version 2 turns the reserved word into a payload checksum so a bit flip
-// anywhere in the sample array — a degraded stripe server, a torn write —
-// is detected instead of silently processed. Version-1 files (checksum
-// word zero) still decode; their headers report HasChecksum false and the
-// payload is accepted unverified. Version 3 (chunks.go) adds a per-chunk
-// checksum table between the header and the payload; the header layout
-// above is unchanged and its checksum word still covers the whole payload.
+// Any other version fails with ErrVersion; a dataset in an older layout
+// is regenerated with pfsgen.
 
 // Magic identifies a cube file.
 const Magic = "SCPI"
@@ -43,13 +35,9 @@ const Magic = "SCPI"
 // HeaderSize is the size in bytes of the fixed cube file header.
 const HeaderSize = 32
 
-// FormatVersion is the newest cube file format version this package reads
-// and writes. Encode/Write still emit the flat version-2 layout;
-// EncodeChunked/WriteChunked emit version 3.
+// FormatVersion is the one cube file format version this package reads
+// and writes.
 const FormatVersion = FormatVersionChunked
-
-// FormatVersionFlat is the flat (chunk-table-free) checksummed format.
-const FormatVersionFlat = 2
 
 // Typed codec failures, matched with errors.Is so the pipeline's resilience
 // layer can distinguish detected corruption (retryable) from structural
@@ -59,6 +47,9 @@ var (
 	ErrTruncated = errors.New("cube: truncated file")
 	// ErrCorrupt reports a payload or header that fails integrity checks.
 	ErrCorrupt = errors.New("cube: corrupt file")
+	// ErrVersion reports a header whose format version this package does
+	// not read: the retired flat versions 1 and 2, or an unknown one.
+	ErrVersion = errors.New("cube: unsupported format version")
 )
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
@@ -71,32 +62,24 @@ func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli
 type Header struct {
 	Dims
 	Seq uint64 // CPI sequence number
-	// Checksum is the CRC-32C of the encoded payload (version >= 2).
+	// Checksum is the CRC-32C of the whole encoded payload.
 	Checksum uint32
-	// HasChecksum reports whether the file carries a payload checksum
-	// (false for version-1 files, which decode unverified).
-	HasChecksum bool
-	// Version is the file's format version (encoders treat zero as the
-	// flat version 2, so literal Headers keep their old meaning).
+	// Version is the file's format version (EncodeHeader writes zero as
+	// FormatVersion).
 	Version int
-	// ChunkSize is the payload chunk granularity in bytes (version >= 3;
-	// zero for flat formats). Always a positive multiple of 8 once decoded.
+	// ChunkSize is the payload chunk granularity in bytes. Always a
+	// positive multiple of 8 once decoded.
 	ChunkSize int
-	// ChunkCRCs is the per-chunk CRC-32C table (version >= 3).
+	// ChunkCRCs is the per-chunk CRC-32C table.
 	ChunkCRCs []uint32
 }
 
-// FileBytes returns the total encoded size of a cube with dimensions d:
-// header plus payload.
-func FileBytes(d Dims) int64 { return HeaderSize + d.Bytes() }
-
 // EncodeHeader writes the 32-byte header for h into buf, which must be at
-// least HeaderSize bytes long. A zero h.Version encodes as the flat
-// version 2.
+// least HeaderSize bytes long. A zero h.Version encodes as FormatVersion.
 func EncodeHeader(h Header, buf []byte) {
 	v := h.Version
 	if v == 0 {
-		v = FormatVersionFlat
+		v = FormatVersion
 	}
 	copy(buf[0:4], Magic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(v))
@@ -107,7 +90,8 @@ func EncodeHeader(h Header, buf []byte) {
 	binary.LittleEndian.PutUint32(buf[28:32], h.Checksum)
 }
 
-// DecodeHeader parses a 32-byte header.
+// DecodeHeader parses a 32-byte header. Any version but FormatVersion is
+// ErrVersion.
 func DecodeHeader(buf []byte) (Header, error) {
 	var h Header
 	if len(buf) < HeaderSize {
@@ -117,18 +101,15 @@ func DecodeHeader(buf []byte) (Header, error) {
 		return h, fmt.Errorf("%w: bad magic %q", ErrCorrupt, buf[0:4])
 	}
 	v := binary.LittleEndian.Uint32(buf[4:8])
-	if v < 1 || v > FormatVersion {
-		return h, fmt.Errorf("cube: unsupported format version %d", v)
+	if v != FormatVersion {
+		return h, fmt.Errorf("%w %d (want %d; regenerate the dataset with pfsgen)", ErrVersion, v, FormatVersion)
 	}
 	h.Version = int(v)
 	h.Channels = int(binary.LittleEndian.Uint32(buf[8:12]))
 	h.Pulses = int(binary.LittleEndian.Uint32(buf[12:16]))
 	h.Ranges = int(binary.LittleEndian.Uint32(buf[16:20]))
 	h.Seq = binary.LittleEndian.Uint64(buf[20:28])
-	if v >= 2 {
-		h.Checksum = binary.LittleEndian.Uint32(buf[28:32])
-		h.HasChecksum = true
-	}
+	h.Checksum = binary.LittleEndian.Uint32(buf[28:32])
 	if !h.Valid() {
 		return h, fmt.Errorf("%w: invalid dimensions in header: %v", ErrCorrupt, h.Dims)
 	}
@@ -144,22 +125,6 @@ func DecodeHeader(buf []byte) (Header, error) {
 // maxDim bounds each header dimension; three maxed dimensions still keep
 // Dims.Bytes comfortably inside int64.
 const maxDim = 1 << 16
-
-// VerifyPayload checks an encoded payload against the header's checksum.
-// Version-1 headers carry none, so they pass; a length shortfall reports
-// ErrTruncated and a checksum mismatch ErrCorrupt.
-func VerifyPayload(h Header, payload []byte) error {
-	if int64(len(payload)) < h.Bytes() {
-		return fmt.Errorf("%w: payload is %d bytes, want %d", ErrTruncated, len(payload), h.Bytes())
-	}
-	if !h.HasChecksum {
-		return nil
-	}
-	if got := Checksum(payload[:h.Bytes()]); got != h.Checksum {
-		return fmt.Errorf("%w: payload CRC %08x, header says %08x (CPI %d)", ErrCorrupt, got, h.Checksum, h.Seq)
-	}
-	return nil
-}
 
 // EncodeSamples serialises the samples of cb into buf, which must be at
 // least cb.Bytes() long.
@@ -191,19 +156,9 @@ func DecodeSampleRange(cb *Cube, buf []byte, lo, hi int) {
 	}
 }
 
-// Encode serialises cb with sequence number seq into buf, which must be at
-// least FileBytes(cb.Dims) long: samples first, then the header carrying
-// their checksum.
-func Encode(cb *Cube, seq uint64, buf []byte) {
-	EncodeSamples(cb, buf[HeaderSize:])
-	h := Header{Dims: cb.Dims, Seq: seq, HasChecksum: true}
-	h.Checksum = Checksum(buf[HeaderSize : HeaderSize+cb.Bytes()])
-	EncodeHeader(h, buf)
-}
-
 // PatchSeq restamps the CPI sequence number of an already encoded cube
 // file in place. The sequence number lives in the fixed header, outside
-// every checksum (the payload CRC and the v3 chunk table cover samples
+// every checksum (the payload CRC and the chunk table cover samples
 // only), so replaying one encoded cube under many sequence numbers — the
 // network load generator's trick — costs a header patch, not a re-encode.
 func PatchSeq(file []byte, seq uint64) error {
@@ -226,25 +181,8 @@ func sizedBuf(buf []byte, n int64) []byte {
 	return make([]byte, n)
 }
 
-// Write serialises cb with sequence number seq to w in the flat version-2
-// format, allocating a transient file-sized buffer. Hot paths should use
-// WriteBuf with a pooled buffer instead.
-func Write(w io.Writer, cb *Cube, seq uint64) error {
-	return WriteBuf(w, cb, seq, nil)
-}
-
-// WriteBuf is Write with a caller-supplied scratch buffer: when buf has
-// capacity for the encoded file it is reused and the call allocates
-// nothing. A nil or undersized buf falls back to allocating.
-func WriteBuf(w io.Writer, cb *Cube, seq uint64, buf []byte) error {
-	buf = sizedBuf(buf, FileBytes(cb.Dims))
-	Encode(cb, seq, buf)
-	_, err := w.Write(buf)
-	return err
-}
-
-// WriteChunked serialises cb to w in the chunked version-3 format, reusing
-// buf as scratch when it is large enough (nil allocates).
+// WriteChunked serialises cb to w, reusing buf as scratch when it is
+// large enough (nil allocates).
 func WriteChunked(w io.Writer, cb *Cube, seq uint64, chunkSize int, buf []byte) error {
 	buf = sizedBuf(buf, FileBytesChunked(cb.Dims, chunkSize))
 	EncodeChunked(cb, seq, chunkSize, buf)
@@ -263,18 +201,20 @@ func readFull(r io.Reader, buf []byte, what string) error {
 	return nil
 }
 
-// Read parses a full cube file (any supported version) from r, verifying
-// its checksums.
+// Read parses a full cube file from r, verifying its chunk checksums.
 func Read(r io.Reader) (*Cube, Header, error) {
 	return ReadBuf(r, nil, nil)
 }
 
 // ReadBuf is Read with caller-supplied reuse: a cube of matching dimensions
-// is decoded into rather than freshly allocated, and buf serves as the read
-// scratch when large enough. Apart from the header's chunk-CRC table (v3
-// files only) a sized call allocates nothing.
+// is decoded into rather than freshly allocated, and buf serves as the
+// file scratch when large enough. Apart from the header's chunk-CRC table
+// a sized call allocates nothing.
 func ReadBuf(r io.Reader, cb *Cube, buf []byte) (*Cube, Header, error) {
-	buf = sizedBuf(buf, HeaderSize)
+	// The table size depends on the chunk size, so read the header and
+	// the table's fixed preamble first, then the rest of the file.
+	pre := HeaderSize + chunkTableFixed
+	buf = sizedBuf(buf, int64(pre))
 	if err := readFull(r, buf[:HeaderSize], "header"); err != nil {
 		return nil, Header{}, err
 	}
@@ -282,46 +222,37 @@ func ReadBuf(r io.Reader, cb *Cube, buf []byte) (*Cube, Header, error) {
 	if err != nil {
 		return nil, Header{}, err
 	}
-	if h.Version >= FormatVersionChunked {
-		// The table size depends on the chunk size, so read its fixed
-		// preamble first, then the CRCs.
-		pre := sizedBuf(buf, chunkTableFixed)
-		if err := readFull(r, pre, "chunk table"); err != nil {
-			return nil, Header{}, err
-		}
-		cs := int(binary.LittleEndian.Uint32(pre[0:4]))
-		if !validChunkSize(cs) {
-			return nil, Header{}, fmt.Errorf("%w: chunk size %d is not a positive multiple of 8", ErrCorrupt, cs)
-		}
-		table := make([]byte, chunkTableFixed+4*chunkCount(h.Bytes(), cs))
-		copy(table, pre)
-		if err := readFull(r, table[chunkTableFixed:], "chunk table"); err != nil {
-			return nil, Header{}, err
-		}
-		if err := DecodeChunkTable(&h, table); err != nil {
-			return nil, Header{}, err
-		}
-	}
-	pbuf := sizedBuf(buf, h.Bytes())
-	if err := readFull(r, pbuf, "payload"); err != nil {
+	if err := readFull(r, buf[HeaderSize:pre], "chunk table"); err != nil {
 		return nil, Header{}, err
 	}
-	if h.Chunks() > 0 {
-		bad, err := VerifyChunks(&h, pbuf, 0, h.Chunks(), nil)
-		if err != nil {
-			return nil, Header{}, err
-		}
-		if len(bad) > 0 {
-			return nil, Header{}, fmt.Errorf("%w: %d of %d chunks failed their CRC (first: chunk %d; CPI %d)",
-				ErrCorrupt, len(bad), h.Chunks(), bad[0], h.Seq)
-		}
-	} else if err := VerifyPayload(h, pbuf); err != nil {
+	cs := int(binary.LittleEndian.Uint32(buf[HeaderSize:]))
+	if !validChunkSize(cs) {
+		return nil, Header{}, fmt.Errorf("%w: chunk size %d is not a positive multiple of 8", ErrCorrupt, cs)
+	}
+	n := FileBytesChunked(h.Dims, cs)
+	if int64(cap(buf)) < n {
+		buf = append(make([]byte, 0, n), buf[:pre]...)
+	}
+	buf = buf[:n]
+	if err := readFull(r, buf[pre:], "chunk table and payload"); err != nil {
 		return nil, Header{}, err
+	}
+	if err := DecodeChunkTable(&h, buf[HeaderSize:]); err != nil {
+		return nil, Header{}, err
+	}
+	payload := buf[h.PayloadOffset():]
+	bad, err := VerifyChunks(&h, payload, 0, h.Chunks(), nil)
+	if err != nil {
+		return nil, Header{}, err
+	}
+	if len(bad) > 0 {
+		return nil, Header{}, fmt.Errorf("%w: %d of %d chunks failed their CRC (first: chunk %d; CPI %d)",
+			ErrCorrupt, len(bad), h.Chunks(), bad[0], h.Seq)
 	}
 	if cb == nil || cb.Dims != h.Dims {
 		cb = New(h.Dims)
 	}
-	if err := DecodeSamples(cb, pbuf); err != nil {
+	if err := DecodeSamples(cb, payload); err != nil {
 		return nil, Header{}, err
 	}
 	return cb, h, nil

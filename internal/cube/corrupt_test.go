@@ -8,7 +8,8 @@ import (
 	"testing"
 )
 
-// encodeFile serialises a pseudo-random cube and returns the raw bytes.
+// encodeFile serialises a pseudo-random cube in 64-byte chunks and returns
+// the raw bytes.
 func encodeFile(t *testing.T, d Dims, seq uint64) []byte {
 	t.Helper()
 	cb := New(d)
@@ -17,7 +18,7 @@ func encodeFile(t *testing.T, d Dims, seq uint64) []byte {
 		cb.Data[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, cb, seq); err != nil {
+	if err := WriteChunked(&buf, cb, seq, 64, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -29,10 +30,10 @@ func TestRoundTripCarriesChecksum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.HasChecksum {
-		t.Error("freshly written file should carry a checksum")
+	if h.Chunks() == 0 {
+		t.Error("freshly written file should carry a chunk table")
 	}
-	if h.Checksum != Checksum(raw[HeaderSize:]) {
+	if h.Checksum != Checksum(raw[h.PayloadOffset():]) {
 		t.Error("header checksum does not match payload")
 	}
 	if h.Seq != 7 || got == nil {
@@ -52,7 +53,12 @@ func TestReadTruncatedTyped(t *testing.T) {
 
 func TestReadBitFlippedPayloadTyped(t *testing.T) {
 	raw := encodeFile(t, Dims{2, 3, 5}, 2)
-	for _, pos := range []int{HeaderSize, HeaderSize + 17, len(raw) - 1} {
+	h, err := ParseHeader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int(h.PayloadOffset())
+	for _, pos := range []int{off, off + 17, len(raw) - 1} {
 		flipped := append([]byte(nil), raw...)
 		flipped[pos] ^= 0x08
 		_, _, err := Read(bytes.NewReader(flipped))
@@ -68,44 +74,18 @@ func TestReadBitFlippedPayloadTyped(t *testing.T) {
 	}
 }
 
-func TestVersion1FilesStillDecode(t *testing.T) {
-	// A legacy file has version 1 and a zero checksum word; it must decode
-	// without verification rather than being rejected as corrupt.
+// TestFlatVersionsRejected: the flat v1 and v2 layouts are no longer read;
+// their headers, like unknown future versions, fail with ErrVersion.
+func TestFlatVersionsRejected(t *testing.T) {
 	raw := encodeFile(t, Dims{2, 3, 5}, 3)
-	legacy := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(legacy[4:8], 1)
-	binary.LittleEndian.PutUint32(legacy[28:32], 0)
-	_, h, err := Read(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("version-1 file rejected: %v", err)
-	}
-	if h.HasChecksum {
-		t.Error("version-1 header claims a checksum")
-	}
-	// Unknown future versions still fail.
-	future := append([]byte(nil), raw...)
-	binary.LittleEndian.PutUint32(future[4:8], 99)
-	if _, _, err := Read(bytes.NewReader(future)); err == nil {
-		t.Error("future version should be rejected")
-	}
-}
-
-func TestVerifyPayload(t *testing.T) {
-	d := Dims{1, 2, 3}
-	raw := encodeFile(t, d, 4)
-	h, err := DecodeHeader(raw[:HeaderSize])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyPayload(h, raw[HeaderSize:]); err != nil {
-		t.Errorf("clean payload rejected: %v", err)
-	}
-	if err := VerifyPayload(h, raw[HeaderSize:len(raw)-4]); !errors.Is(err, ErrTruncated) {
-		t.Errorf("short payload: got %v, want ErrTruncated", err)
-	}
-	bad := append([]byte(nil), raw[HeaderSize:]...)
-	bad[3] ^= 0x80
-	if err := VerifyPayload(h, bad); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("flipped payload: got %v, want ErrCorrupt", err)
+	for _, v := range []uint32{1, 2, 99} {
+		old := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint32(old[4:8], v)
+		if _, err := DecodeHeader(old[:HeaderSize]); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d header: got %v, want ErrVersion", v, err)
+		}
+		if _, _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d file: got %v, want ErrVersion", v, err)
+		}
 	}
 }

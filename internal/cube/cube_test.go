@@ -184,10 +184,10 @@ func TestCodecRoundTrip(t *testing.T) {
 		cb.Data[i] = complex(rng.Float32()-0.5, rng.Float32()-0.5)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, cb, 77); err != nil {
+	if err := WriteChunked(&buf, cb, 77, 128, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(buf.Len()), FileBytes(d); got != want {
+	if got, want := int64(buf.Len()), FileBytesChunked(d, 128); got != want {
 		t.Errorf("encoded size = %d, want %d", got, want)
 	}
 	got, h, err := Read(&buf)
@@ -218,7 +218,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			cb.Data[i] = complex(rng.Float32()*100-50, rng.Float32()*100-50)
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, cb, seq); err != nil {
+		if err := WriteChunked(&buf, cb, seq, 64, nil); err != nil {
 			return false
 		}
 		got, h, err := Read(&buf)
@@ -257,7 +257,7 @@ func TestReadTruncated(t *testing.T) {
 	d := Dims{1, 1, 4}
 	cb := New(d)
 	var buf bytes.Buffer
-	if err := Write(&buf, cb, 0); err != nil {
+	if err := WriteChunked(&buf, cb, 0, DefaultChunkSize, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

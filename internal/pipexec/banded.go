@@ -193,8 +193,8 @@ func newBandedRun(cfg Config, p *stap.Params, band int) *bandedRun {
 	b.smHard = stap.CovarianceSmoother{Lambda: p.Forgetting}
 	b.solvEasy, _ = stap.NewWeightSolver(p, b.easyBins, false)
 	b.solvHard, _ = stap.NewWeightSolver(p, b.hardBins, true)
-	b.wEasy = stap.InitialWeights(p, b.easyBins)
-	b.wHard = stap.InitialWeights(p, b.hardBins)
+	b.wEasy = b.solvEasy.InitialWeights()
+	b.wHard = b.solvHard.InitialWeights()
 	b.nextEasy = b.solvEasy.NewWeightSet()
 	b.nextHard = b.solvHard.NewWeightSet()
 	b.comps = []*stap.Compressor{stap.NewCompressor(p)}
@@ -400,7 +400,7 @@ func bandedCFAR(p *stap.Params, bc *stap.BeamCube, st *cfarState, workers int) (
 // ---- chunk-granular banded reads from the striped store ----
 
 // ReadBand implements BandedSource over the dataset's staging files: it
-// reads only the v3 chunks overlapping the requested range band — each
+// reads only the chunks overlapping the requested range band — each
 // (channel, pulse) row contributes one contiguous byte span — verifies
 // their CRCs, repairs corrupt chunks with individual re-reads, and decodes
 // the in-band samples straight into the band slab. The whole-file image is
@@ -517,10 +517,9 @@ func decodeBandChunk(dst *cube.Cube, h *cube.Header, d cube.Dims, lo, hi, i int,
 }
 
 // bandHeader returns the cached parsed header (fixed header + chunk table)
-// of one staging file, probing it on first use. Banded reads require the
-// chunked (v3) format — flat files cannot be partially verified. The probe
-// bypasses fault injection, like NewFileSource's: startup metadata reads
-// are not part of the modelled data path.
+// of one staging file, probing it on first use. The probe bypasses fault
+// injection, like NewFileSource's: startup metadata reads are not part of
+// the modelled data path.
 func (s *FileSource) bandHeader(name string) (*cube.Header, error) {
 	s.bandMu.Lock()
 	defer s.bandMu.Unlock()
@@ -534,9 +533,6 @@ func (s *FileSource) bandHeader(name string) (*cube.Header, error) {
 	fh, err := cube.DecodeHeader(pre[:cube.HeaderSize])
 	if err != nil {
 		return nil, fmt.Errorf("pipexec: probing %s: %w", name, err)
-	}
-	if fh.Version < cube.FormatVersionChunked {
-		return nil, fmt.Errorf("pipexec: %s is a flat (v%d) cube file — banded reads need the chunked (v3) format (re-stage with pfsgen)", name, fh.Version)
 	}
 	chunk := int(binary.LittleEndian.Uint32(pre[cube.HeaderSize:]))
 	if chunk <= 0 || chunk%8 != 0 {

@@ -130,25 +130,52 @@ func TestReadBandMatchesCube(t *testing.T) {
 	}
 }
 
-// TestReadBandRejectsFlatFiles: banded reads need per-chunk CRCs; a flat
-// (v2) store must be refused with a re-staging hint, not silently
-// misdecoded.
+// writeFlatFile stages a cube in the retired flat v2 layout: the fixed
+// header straight followed by the samples, no chunk table.
+func writeFlatFile(t *testing.T, fs *pfs.RealFS, name string, cb *cube.Cube, seq uint64) {
+	t.Helper()
+	buf := make([]byte, cube.HeaderSize+cb.Bytes())
+	cube.EncodeSamples(cb, buf[cube.HeaderSize:])
+	cube.EncodeHeader(cube.Header{Dims: cb.Dims, Seq: seq, Version: 2, Checksum: cube.Checksum(buf[cube.HeaderSize:])}, buf)
+	if err := fs.WriteFile(name, buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadBandRejectsFlatFiles: flat (v1/v2) staging files are no longer
+// read. A flat dataset fails NewFileSource's probe, and a flat file behind
+// a chunked probe fails the band read, both with cube.ErrVersion rather
+// than being silently misdecoded.
 func TestReadBandRejectsFlatFiles(t *testing.T) {
 	s := radar.SmallTestScenario()
+	cb, err := s.Generate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := pfs.CreateReal(t.TempDir(), 2, 4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeFlatFile(t, flat, radar.FileName(0), cb, 0)
+	if _, err := NewFileSource(flat, s.Dims, 1); !errors.Is(err, cube.ErrVersion) {
+		t.Fatalf("flat dataset probe: got %v, want cube.ErrVersion", err)
+	}
+
 	fs, err := pfs.CreateReal(t.TempDir(), 2, 4096, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := radar.WriteDatasetFlat(fs, s, 2, 2, false); err != nil {
+	if _, err := radar.WriteDataset(fs, s, 2, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewFileSource(fs, s.Dims, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	writeFlatFile(t, fs, radar.FileName(1), cb, 1)
 	dst := cube.New(cube.Dims{Channels: s.Dims.Channels, Pulses: s.Dims.Pulses, Ranges: 4})
-	if err := src.ReadBand(0, 0, 4, dst); err == nil {
-		t.Fatal("flat-file band read succeeded; it must demand the chunked format")
+	if err := src.ReadBand(1, 0, 4, dst); !errors.Is(err, cube.ErrVersion) {
+		t.Fatalf("flat-file band read: got %v, want cube.ErrVersion", err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stapio/internal/cube"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
 	"stapio/internal/tune"
@@ -106,24 +107,63 @@ func TestAutoTuneGrowsReadaheadOnSlowStore(t *testing.T) {
 	}
 }
 
-// TestSourceStallObservability: a shallow window against a slow store
-// stalls the pipeline on nearly every CPI and the counters must say so; a
-// deep window hides the same latency and the occupancy gauge must show
-// the landed prefetches.
+// landingSource serves scenario cubes whose fetches land on the test's
+// terms instead of a store's timing: with landed set a fetch is complete
+// before Begin returns; otherwise it lands only once the pipeline waits on
+// it, so the window head is never ready when the read stage checks.
+type landingSource struct {
+	NoFrontend
+	s      *radar.Scenario
+	landed bool
+}
+
+// landingPending is a landingSource fetch.
+type landingPending struct {
+	s     *radar.Scenario
+	seq   uint64
+	ready bool
+	cb    *cube.Cube
+	err   error
+}
+
+func (p *landingPending) Ready() bool { return p.ready }
+
+func (p *landingPending) Wait() (*cube.Cube, error) {
+	if !p.ready {
+		p.cb, p.err = p.s.Generate(p.seq)
+	}
+	return p.cb, p.err
+}
+
+func (l *landingSource) Begin(seq uint64, attempt int) PendingCube {
+	p := &landingPending{s: l.s, seq: seq, ready: l.landed}
+	if l.landed {
+		p.cb, p.err = l.s.Generate(seq)
+	}
+	return p
+}
+
+func (l *landingSource) Recycle(*cube.Cube) {}
+
+// TestSourceStallObservability: the stall counters and the occupancy
+// gauge follow the fetches' landing events, not wall-clock luck. A window
+// whose head never lands before the pipeline asks stalls on every CPI; a
+// depth-8 window of fetches that land at issue never stalls and shows the
+// whole window landed. A slow-store run then checks that the frontend
+// clocks count every fetch.
 func TestSourceStallObservability(t *testing.T) {
 	s := radar.SmallTestScenario()
-	_, src := slowStore(t, s, 2*time.Millisecond)
 	cfg := testConfig()
 	cfg.SeparateIO = true
 	cfg.ReadAhead = 1
 	const n = 24
 
-	shallow, err := Run(context.Background(), cfg, src, n)
+	shallow, err := Run(context.Background(), cfg, &landingSource{s: s}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shallow.Stats.SourceStalls < n/2 {
-		t.Errorf("depth-1 window against a slow store stalled only %d of %d CPIs", shallow.Stats.SourceStalls, n)
+	if st := shallow.Stats; st.SourceStalls != n || st.ReadaheadReady != 0 {
+		t.Errorf("unlanded heads: %d stalls at occupancy %.2f, want %d at 0", st.SourceStalls, st.ReadaheadReady, n)
 	}
 	if shallow.Stats.SourceStall <= 0 {
 		t.Error("stalled run reports zero source-stall time")
@@ -133,27 +173,32 @@ func TestSourceStallObservability(t *testing.T) {
 			shallow.Stats.FinalReadAhead, shallow.Stats.FinalDecodeWorkers)
 	}
 
+	cfg.ReadAhead = 8
+	deep, err := Run(context.Background(), cfg, &landingSource{s: s, landed: true}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// At CPI k the window holds every issued fetch up to k+8, all landed.
+	var occ float64
+	for k := 0; k < n; k++ {
+		occ += float64(min(k+cfg.ReadAhead+1, n) - k)
+	}
+	if st := deep.Stats; st.SourceStalls != 0 || st.ReadaheadReady != occ/n {
+		t.Errorf("landed window: %d stalls at occupancy %.3f, want 0 at %.3f", st.SourceStalls, st.ReadaheadReady, occ/n)
+	}
+
 	// The frontend clocks surface through StageTimes like compute stages.
+	_, src := slowStore(t, s, 2*time.Millisecond)
+	slow, err := Run(context.Background(), cfg, src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	found := map[string]int64{}
-	for _, st := range shallow.Stats.StageTimes {
+	for _, st := range slow.Stats.StageTimes {
 		found[st.Name] = st.CPIs
 	}
 	if found["src read"] < int64(n) || found["src decode"] < int64(n) {
 		t.Errorf("frontend stage clocks missing or undercounting: %v", found)
-	}
-
-	cfg.ReadAhead = 8
-	deep, err := Run(context.Background(), cfg, src, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if deep.Stats.SourceStalls > shallow.Stats.SourceStalls {
-		t.Errorf("depth-8 window stalled more (%d) than depth-1 (%d)",
-			deep.Stats.SourceStalls, shallow.Stats.SourceStalls)
-	}
-	if deep.Stats.ReadaheadReady <= shallow.Stats.ReadaheadReady {
-		t.Errorf("deep-window occupancy %.2f not above shallow %.2f",
-			deep.Stats.ReadaheadReady, shallow.Stats.ReadaheadReady)
 	}
 }
 

@@ -149,7 +149,7 @@ func TestSpillerEvictReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.setCubeCharged(0)
-	slot := r.spiller.track(0, r.beginRead(0, 0))
+	slot := r.spiller.track(0, r.src.Begin(0, 0))
 	deadline := time.Now().Add(5 * time.Second)
 	for !slot.Ready() {
 		if time.Now().After(deadline) {

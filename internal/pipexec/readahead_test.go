@@ -145,53 +145,6 @@ func TestPartialRereadRepairsCorruptChunks(t *testing.T) {
 	}
 }
 
-// Flat (v2) datasets predate the chunk table: corruption there cannot be
-// repaired in place, so it must surface as checksum failures and
-// whole-file retries — and the reader must still accept the format.
-func TestFlatDatasetFallsBackToWholeFileRetry(t *testing.T) {
-	s := radar.SmallTestScenario()
-	fs, err := pfs.CreateReal(t.TempDir(), 4, 4096, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := radar.WriteDatasetFlat(fs, s, radar.DefaultFileCount, radar.DefaultFileCount, false); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewFileSource(fs, s.Dims, radar.DefaultFileCount)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig()
-	cfg.SeparateIO = true
-	cfg.ReadAhead = 2
-	cfg.DecodeWorkers = 2
-	cfg.Retry = fastRetry
-	cfg.Degrade = DegradeSkipCPI
-	const n = 16
-
-	clean, err := Run(context.Background(), cfg, src, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.SetFaults(&pfs.FaultPlan{Seed: 3, CorruptRate: 0.2})
-	res, err := Run(context.Background(), cfg, src, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st.ChecksumFailures == 0 {
-		t.Error("flat-format corruption should trip the whole-payload checksum")
-	}
-	if st.ChunkRereads != 0 || st.RepairedReads != 0 {
-		t.Errorf("flat files have no chunks to repair, got %v", st)
-	}
-	for k := range res.CPIs {
-		if !sameDetections(res.CPIs[k].Detections, clean.CPIs[k].Detections) {
-			t.Errorf("CPI %d detections differ from the fault-free run", k)
-		}
-	}
-}
-
 // Deeper readahead holds more reads in flight, but the pool-news bound
 // must still scale with the window, not with the CPI count.
 func TestPoolsBoundedAtDeepReadahead(t *testing.T) {

@@ -117,9 +117,9 @@ type RunStats struct {
 	// DegradeLastGoodWeights.
 	WeightFallbacks int64
 	// ChunkRereads counts chunk-level re-read operations against corrupt
-	// chunks of chunked (v3) cube files — the partial-re-read path that
-	// replaces whole-file retries when per-chunk checksums locate the
-	// damage. Zero for flat (v2) datasets and non-file sources.
+	// chunks — the partial-re-read path that replaces whole-file retries
+	// when per-chunk checksums locate the damage. Zero for sources without
+	// a frontend.
 	ChunkRereads int64
 	// ChunkRereadBytes is the total bytes those chunk re-reads fetched.
 	ChunkRereadBytes int64

@@ -108,6 +108,7 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 
 // stuckSource wraps a source and makes one CPI permanently unreadable.
 type stuckSource struct {
+	NoFrontend
 	inner CubeSource
 	seq   uint64
 }
@@ -115,12 +116,13 @@ type stuckSource struct {
 type errPending struct{ err error }
 
 func (p errPending) Wait() (*cube.Cube, error) { return nil, p.err }
+func (p errPending) Ready() bool               { return true }
 
-func (s *stuckSource) Begin(seq uint64) PendingCube {
+func (s *stuckSource) Begin(seq uint64, attempt int) PendingCube {
 	if seq == s.seq {
 		return errPending{err: errors.New("stripe server offline")}
 	}
-	return s.inner.Begin(seq)
+	return s.inner.Begin(seq, attempt)
 }
 
 func (s *stuckSource) Recycle(cb *cube.Cube) { s.inner.Recycle(cb) }

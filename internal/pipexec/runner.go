@@ -56,8 +56,8 @@ type Config struct {
 	// pipesim's PrefetchDepth does in the model.
 	ReadAhead int
 	// DecodeWorkers shards each cube's checksum verification and decode
-	// across this many goroutines when the source supports it
-	// (DecodeParallelSource). Values < 1 mean 1, the serial behaviour.
+	// across this many goroutines when the source has a frontend
+	// (CubeSource.Frontend). Values < 1 mean 1, the serial behaviour.
 	DecodeWorkers int
 	// MaxReadAhead caps how deep the auto-tuner may grow the readahead
 	// window (values < 1 mean the default, 32). It also clamps live
@@ -303,18 +303,12 @@ func newRunner(cfg Config, src CubeSource, n int) *runner {
 		dw = 1
 	}
 	r.decW.Store(int32(dw))
-	if dp, ok := src.(DecodeParallelSource); ok {
-		r.decSrc = dp
-		if cfg.DecodeWorkers > 0 {
-			dp.SetDecodeWorkers(cfg.DecodeWorkers)
-		}
+	if cfg.DecodeWorkers > 0 {
+		src.SetDecodeWorkers(cfg.DecodeWorkers)
 	}
 	// Sources keep cumulative ingest counters (they outlive runs), so the
 	// run reports deltas against this baseline.
-	if is, ok := src.(IOStatSource); ok {
-		r.ioSrc = is
-		r.ioBase = is.IOStats()
-	}
+	r.ioBase = src.IOStats()
 	return r
 }
 
@@ -323,12 +317,10 @@ func newRunner(cfg Config, src CubeSource, n int) *runner {
 // the run began.
 func (r *runner) snapshotStats() RunStats {
 	st := r.stats.snapshot(r.dropped)
-	if r.ioSrc != nil {
-		now := r.ioSrc.IOStats()
-		st.ChunkRereads = now.ChunkRereads - r.ioBase.ChunkRereads
-		st.ChunkRereadBytes = now.ChunkRereadBytes - r.ioBase.ChunkRereadBytes
-		st.RepairedReads = now.RepairedReads - r.ioBase.RepairedReads
-	}
+	now := r.src.IOStats()
+	st.ChunkRereads = now.ChunkRereads - r.ioBase.ChunkRereads
+	st.ChunkRereadBytes = now.ChunkRereadBytes - r.ioBase.ChunkRereadBytes
+	st.RepairedReads = now.RepairedReads - r.ioBase.RepairedReads
 	st.StageTimes = make([]StageTimeStats, 0, len(r.clocks))
 	for _, c := range r.clocks {
 		st.StageTimes = append(st.StageTimes, c.timeStats())
@@ -378,14 +370,24 @@ func (r *runner) setup() error {
 		r.ck.pc = clock("pulse compr")
 		r.ck.cf = clock("CFAR")
 	}
-	// Instrumentable sources get frontend clocks: per-fetch striped-read
+	// Sources with a frontend get its clocks: per-fetch striped-read
 	// latency and per-cube verify+decode wall time, surfaced through
 	// Stages/StageTimes like every compute stage and — with AutoTune —
 	// feeding the joint I/O + compute solve.
-	if cs, ok := r.src.(clockedSource); ok {
+	if r.src.Frontend() {
 		r.srcRead = clock("src read")
 		r.srcDecode = clock("src decode")
-		cs.setStageClocks(r.srcRead, r.srcDecode)
+		r.src.SetClocks(r.srcRead.add, r.srcDecode.add)
+	}
+	// One weight solver per bin set: its steering table serves both the
+	// weight stage's solves and the beamforming stage's first-CPI
+	// conventional weights.
+	var err error
+	if r.solvEasy, err = stap.NewWeightSolver(r.p, r.easyBins, false); err != nil {
+		return fmt.Errorf("pipexec: easy weights: %w", err)
+	}
+	if r.solvHard, err = stap.NewWeightSolver(r.p, r.hardBins, true); err != nil {
+		return fmt.Errorf("pipexec: hard weights: %w", err)
 	}
 	return r.initTuning([numTunable]*stageClock{
 		r.ck.dop, r.ck.we, r.ck.wh, r.ck.bfe, r.ck.bfh, r.ck.pc, r.ck.cf,
@@ -425,8 +427,12 @@ func (r *runner) launch(buf int) *sync.WaitGroup {
 	spawn(func() error { return r.dopplerStage(r.ck.dop, cubeCh, weIn, whIn, bfeIn, bfhIn) })
 	r.pools.easyW = newWeightPool(r.p, r.easyBins, buf)
 	r.pools.hardW = newWeightPool(r.p, r.hardBins, buf)
-	spawn(func() error { return r.weightStage(r.ck.we, weIn, weOut, r.pools.easyW, false, tsEasyWeight) })
-	spawn(func() error { return r.weightStage(r.ck.wh, whIn, whOut, r.pools.hardW, true, tsHardWeight) })
+	spawn(func() error {
+		return r.weightStage(r.ck.we, weIn, weOut, r.pools.easyW, r.solvEasy, false, tsEasyWeight)
+	})
+	spawn(func() error {
+		return r.weightStage(r.ck.wh, whIn, whOut, r.pools.hardW, r.solvHard, true, tsHardWeight)
+	})
 	// pcIn has two producers, so neither BF stage may close it alone; a
 	// closer goroutine does once both have exited. Downstream termination
 	// is therefore by channel close, which stays correct when a skip
@@ -443,8 +449,8 @@ func (r *runner) launch(buf int) *sync.WaitGroup {
 			}
 		}()
 	}
-	spawnBF(func() error { return r.bfStage(r.ck.bfe, bfeIn, weOut, pcIn, r.pools.easyW, tsEasyBF) })
-	spawnBF(func() error { return r.bfStage(r.ck.bfh, bfhIn, whOut, pcIn, r.pools.hardW, tsHardBF) })
+	spawnBF(func() error { return r.bfStage(r.ck.bfe, bfeIn, weOut, pcIn, r.pools.easyW, r.solvEasy, tsEasyBF) })
+	spawnBF(func() error { return r.bfStage(r.ck.bfh, bfhIn, whOut, pcIn, r.pools.hardW, r.solvHard, tsHardBF) })
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -497,6 +503,9 @@ type runner struct {
 	easyBins []int
 	hardBins []int
 	pools    *pipePools
+	// solvEasy/solvHard are the per-bin-set weight solvers (see setup).
+	solvEasy *stap.WeightSolver
+	solvHard *stap.WeightSolver
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -519,10 +528,8 @@ type runner struct {
 	// detections byte-identical either way.
 	raDepth atomic.Int32
 	decW    atomic.Int32
-	// decSrc is the source's decode-pool resize hook (nil when the source
-	// has none); srcRead/srcDecode are the frontend stage clocks (nil when
-	// the source is not instrumentable).
-	decSrc    DecodeParallelSource
+	// srcRead/srcDecode are the frontend stage clocks (nil when the source
+	// has no frontend).
 	srcRead   *stageClock
 	srcDecode *stageClock
 	// ioTune is true when the tuner's split carries the two I/O slots
@@ -544,10 +551,8 @@ type runner struct {
 	stats   runStats
 	dropped []uint64
 
-	// ioSrc/ioBase support per-run deltas of the source's cumulative
-	// ingest counters (see snapshotStats); ioSrc is nil for sources
-	// without counters.
-	ioSrc  IOStatSource
+	// ioBase is the source's cumulative ingest counters at run start, for
+	// per-run deltas (see snapshotStats).
 	ioBase IOStats
 
 	// streamOut, when non-nil, receives each CPI result instead of the
@@ -657,17 +662,6 @@ func (r *runner) addBusy(clk *stageClock, d time.Duration) {
 	}
 }
 
-// beginRead starts a fetch, routing retries through attempt-aware sources
-// so the fault plan re-draws.
-func (r *runner) beginRead(seq uint64, attempt int) PendingCube {
-	if attempt > 0 {
-		if rs, ok := r.src.(RetryableSource); ok {
-			return rs.BeginAttempt(seq, attempt)
-		}
-	}
-	return r.src.Begin(seq)
-}
-
 // errReadDeadline marks a read wait abandoned at the stage deadline.
 var errReadDeadline = errors.New("pipexec: read wait exceeded the stage deadline")
 
@@ -742,7 +736,7 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 		if !r.sleep(r.cfg.Retry.backoff(attempt + 1)) {
 			return nil, nil
 		}
-		pending = r.beginRead(uint64(k), attempt+1)
+		pending = r.src.Begin(uint64(k), attempt+1)
 	}
 }
 
@@ -790,7 +784,7 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 				break
 			}
 			r.setCubeCharged(seq)
-			pend := r.beginRead(seq, 0)
+			pend := r.src.Begin(seq, 0)
 			if r.spiller != nil {
 				pend = r.spiller.track(seq, pend)
 			}
@@ -799,19 +793,17 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 		}
 		// Occupancy + stall bookkeeping: how much of the window has landed
 		// when the pipeline comes asking, and whether it must now stall on
-		// the head fetch. Sources without readiness probes skip this.
-		if head, ok := window[0].(ReadyPending); ok {
-			ready := 0
-			for _, p := range window {
-				if rp, ok := p.(ReadyPending); ok && rp.Ready() {
-					ready++
-				}
+		// the head fetch.
+		ready := 0
+		for _, p := range window {
+			if p.Ready() {
+				ready++
 			}
-			r.stats.raOccupSum.Add(int64(ready))
-			r.stats.raOccupSamples.Add(1)
-			if !head.Ready() {
-				r.stats.sourceStalls.Add(1)
-			}
+		}
+		r.stats.raOccupSum.Add(int64(ready))
+		r.stats.raOccupSamples.Add(1)
+		if !window[0].Ready() {
+			r.stats.sourceStalls.Add(1)
 		}
 		pending := window[0]
 		copy(window, window[1:])
@@ -929,15 +921,11 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 // Doppler bins, and feeds them forward for the next CPI's beamforming.
 // When Params.Forgetting is set, the stage smooths the covariance
 // estimates across CPIs exactly as the sequential reference chain does.
-// The stage owns a WeightSolver (steering table, covariance matrices,
-// per-worker scratch) and solves each CPI into a set leased from pool, so
+// The stage solves through the bin set's WeightSolver (steering table,
+// covariance matrices, per-worker scratch) into sets leased from pool, so
 // in steady state it allocates nothing.
-func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, pool *weightPool, hard bool, slot int) error {
+func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, pool *weightPool, solver *stap.WeightSolver, hard bool, slot int) error {
 	defer close(out)
-	solver, err := stap.NewWeightSolver(r.p, pool.bins, hard)
-	if err != nil {
-		return fmt.Errorf("pipexec: %s weights: %w", setName(hard), err)
-	}
 	smoother := stap.CovarianceSmoother{Lambda: r.p.Forgetting}
 	// Under DegradeLastGoodWeights, a private copy of the last set that
 	// solved: the sets sent downstream go back to the pool and are
@@ -1014,14 +1002,17 @@ func setName(hard bool) string {
 // CPI (the temporal dependency), partitioned by Doppler bins. "Previous
 // delivered" rather than "seq-1": when a skip policy drops a CPI the
 // weight stream simply misses that sequence number, and beamforming
-// continues from the weights of the last CPI that made it through.
-func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, pool *weightPool, slot int) error {
+// continues from the weights of the last CPI that made it through. The
+// first CPI beamforms with the conventional weights of the bin set's
+// solver.
+func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, pool *weightPool, solver *stap.WeightSolver, slot int) error {
 	load := r.cfg.StageLoad.EasyBF
 	if slot == tsHardBF {
 		load = r.cfg.StageLoad.HardBF
 	}
 	bins := pool.bins
-	cur := stap.InitialWeights(r.p, bins)
+	cur := pool.get()
+	solver.Conventional(cur)
 	first := true
 	var prevSeq uint64
 	for {

@@ -6,7 +6,7 @@
 // weight feedback channel — beamforming of CPI k uses weights trained on
 // CPI k-1, exactly as in the paper's system.
 //
-// Input arrives through an AsyncSource, either the striped parallel file
+// Input arrives through a CubeSource, either the striped parallel file
 // system backend (pfs.RealFS, with iread/iowait-style prefetch) or an
 // in-memory generator. Both I/O designs are supported: embedded (the
 // Doppler stage consumes reads directly) and a separate read stage.
@@ -24,43 +24,49 @@ import (
 	"stapio/internal/radar"
 )
 
-// AsyncSource supplies CPI cubes with an asynchronous begin/wait protocol
-// mirroring the NX iread()/iowait() pair.
-type AsyncSource interface {
-	// Begin starts fetching the cube for CPI seq and returns a handle.
-	Begin(seq uint64) PendingCube
-}
-
-// CubeSource is the full contract the pipeline consumes cubes through: the
-// asynchronous begin/wait pull protocol plus cube recycling, so any source
-// — striped files, in-memory generators, or a network stream — pools its
-// decoded slabs and steady-state ingest allocates nothing. The pipeline
-// hands each cube back via Recycle once Doppler filtering has consumed it;
-// sources without a pool implement it as a no-op. Optional refinements a
-// source may additionally implement: RetryableSource (fault re-draws per
-// attempt), ReadyPending handles (readahead-occupancy accounting),
-// DecodeParallelSource + clockedSource (the joint I/O+compute autotune
-// solve), and IOStatSource (repair counters in RunStats).
+// CubeSource is the one contract the pipeline consumes cubes through:
+// an asynchronous begin/wait pull protocol mirroring the NX
+// iread()/iowait() pair, cube recycling so a source pools its decoded
+// slabs and steady-state ingest allocates nothing, and the hooks of an
+// instrumented I/O frontend. Sources without a frontend embed NoFrontend
+// and implement Begin and Recycle only.
 type CubeSource interface {
-	AsyncSource
+	// Begin starts fetch number attempt (0 = first try) of the cube for
+	// CPI seq and returns a handle. A source with a fault plan folds the
+	// attempt into its draw, so a retry re-draws instead of replaying the
+	// same injected fault forever.
+	Begin(seq uint64, attempt int) PendingCube
 	// Recycle returns a cube obtained from this source once the pipeline
 	// is done with it. Must tolerate nil and foreign-geometry cubes.
 	Recycle(cb *cube.Cube)
-}
 
-// RetryableSource is an AsyncSource whose fetches carry a retry-attempt
-// number, so a deterministic fault plan re-draws on each retry instead of
-// replaying the same injected fault forever.
-type RetryableSource interface {
-	AsyncSource
-	// BeginAttempt starts fetch number attempt (0 = first try) of CPI seq.
-	BeginAttempt(seq uint64, attempt int) PendingCube
+	// Frontend reports whether the source has an instrumented I/O
+	// frontend: it times each fetch and each decode on the clocks
+	// SetClocks installs, and takes its decode-pool size live from
+	// SetDecodeWorkers. Only such a
+	// source gets frontend stage clocks and joins the joint I/O + compute
+	// autotune solve.
+	Frontend() bool
+	// IOStats returns the source's cumulative ingest counters.
+	IOStats() IOStats
+	// SetDecodeWorkers resizes the per-cube decode pool; it must be safe
+	// while fetches are in flight (the auto-tuner resizes it live).
+	SetDecodeWorkers(n int)
+	// SetClocks installs the frontend clocks: read receives each fetch's
+	// serial latency (issue to data landed — concurrent fetches each
+	// record their full latency, the tuner's latency-hiding input),
+	// decode each cube's verify+decode wall time.
+	SetClocks(read, decode func(time.Duration))
 }
 
 // PendingCube is an in-flight cube fetch.
 type PendingCube interface {
 	// Wait blocks until the cube is available.
 	Wait() (*cube.Cube, error)
+	// Ready reports, without blocking, whether Wait would return at once
+	// (a delivered error counts). The read stage uses it to count
+	// readahead-window occupancy and pipeline stalls on the source.
+	Ready() bool
 }
 
 // IOStats are a source's ingest counters. The pipeline reports them per
@@ -68,7 +74,7 @@ type PendingCube interface {
 // keeps cumulative counts.
 type IOStats struct {
 	// ChunkRereads is the number of chunk-level re-read operations issued
-	// against corrupt chunks of chunked (v3) cube files.
+	// against corrupt chunks.
 	ChunkRereads int64
 	// ChunkRereadBytes is the total bytes those re-reads fetched — the
 	// partial-re-read saving shows as this staying far below file size
@@ -79,41 +85,76 @@ type IOStats struct {
 	RepairedReads int64
 }
 
-// IOStatSource is implemented by sources that track ingest counters.
-type IOStatSource interface {
-	IOStats() IOStats
+// NoFrontend is the CubeSource base of a source without an I/O frontend:
+// no counters, no decode pool, no clocks.
+type NoFrontend struct{}
+
+// Frontend implements CubeSource.
+func (NoFrontend) Frontend() bool { return false }
+
+// IOStats implements CubeSource.
+func (NoFrontend) IOStats() IOStats { return IOStats{} }
+
+// SetDecodeWorkers implements CubeSource.
+func (NoFrontend) SetDecodeWorkers(int) {}
+
+// SetClocks implements CubeSource.
+func (NoFrontend) SetClocks(read, decode func(time.Duration)) {}
+
+// frontend is the instrumented I/O frontend FileSource and StreamSource
+// share: ingest counters, the live decode-pool size, and the stage clocks.
+type frontend struct {
+	// decodeW, when > 0, is the decode pool size SetDecodeWorkers stored;
+	// an atomic, so the auto-tuner can resize while fetches are in flight.
+	// Stream sources decode in their producers and only report it.
+	decodeW atomic.Int32
+	// clks holds the frontend clocks behind an atomic pointer: fetch
+	// goroutines may outlive the run that armed them (abandoned deadline
+	// waits), so they must never race a clock swap from the next run.
+	clks atomic.Pointer[srcClocks]
+
+	chunkRereads     atomic.Int64
+	chunkRereadBytes atomic.Int64
+	repairedReads    atomic.Int64
 }
 
-// DecodeParallelSource is implemented by sources whose per-cube decode and
-// verify work can shard across a worker pool; the pipeline wires
-// Config.DecodeWorkers through it. SetDecodeWorkers must be safe to call
-// while fetches are in flight — the auto-tuner resizes the pool live.
-type DecodeParallelSource interface {
-	SetDecodeWorkers(n int)
-}
-
-// ReadyPending is implemented by pending fetches that can report, without
-// blocking, whether their cube has landed. The read stage uses it to count
-// readahead-window occupancy and pipeline-stalls-on-source.
-type ReadyPending interface {
-	Ready() bool
-}
-
-// clockedSource is implemented by sources that can time their read and
-// decode/verify paths on pipeline stage clocks. The read clock records
-// each fetch's serial latency (issue to data landed) — concurrent fetches
-// each record their full latency, which is exactly the serial-work input
-// the tuner's latency-hiding model wants. The decode clock records each
-// cube's verify+decode wall time at the current decode worker count.
-type clockedSource interface {
-	setStageClocks(read, dec *stageClock)
-}
-
-// srcClocks bundles the frontend clocks behind one atomic pointer: fetch
-// goroutines may outlive the run that started them (abandoned deadline
-// waits), so the source must never race a clock swap from the next run.
+// srcClocks bundles the frontend clocks (either may be nil).
 type srcClocks struct {
-	read, dec *stageClock
+	read, dec func(time.Duration)
+}
+
+// Frontend implements CubeSource.
+func (f *frontend) Frontend() bool { return true }
+
+// IOStats implements CubeSource.
+func (f *frontend) IOStats() IOStats {
+	return IOStats{
+		ChunkRereads:     f.chunkRereads.Load(),
+		ChunkRereadBytes: f.chunkRereadBytes.Load(),
+		RepairedReads:    f.repairedReads.Load(),
+	}
+}
+
+// SetDecodeWorkers implements CubeSource: in-flight decodes load the count
+// once at their start.
+func (f *frontend) SetDecodeWorkers(n int) {
+	if n < 1 {
+		n = 1
+	}
+	f.decodeW.Store(int32(n))
+}
+
+// SetClocks implements CubeSource.
+func (f *frontend) SetClocks(read, decode func(time.Duration)) {
+	f.clks.Store(&srcClocks{read: read, dec: decode})
+}
+
+// clocks returns the installed frontend clocks (zero when none).
+func (f *frontend) clocks() srcClocks {
+	if c := f.clks.Load(); c != nil {
+		return *c
+	}
+	return srcClocks{}
 }
 
 // FileSource reads CPI cubes from the round-robin staging files of a
@@ -123,18 +164,18 @@ type srcClocks struct {
 // readahead depth > 1 the decode work of several CPIs overlaps instead of
 // serialising on the pipeline's read stage.
 //
-// Chunked (format v3) files verify per-chunk CRCs; a corrupt chunk is
-// re-read individually (ChunkRetries attempts, each re-drawing the fault
-// plan) rather than failing the whole multi-megabyte read. Flat (v2/v1)
-// files keep the whole-payload check and fall back to whole-file retries
-// through the pipeline's retry policy.
+// Each chunk's CRC is verified; a corrupt chunk is re-read individually
+// (ChunkRetries attempts, each re-drawing the fault plan) rather than
+// failing the whole multi-megabyte read.
 //
 // Read buffers and decoded cubes are pooled: each staging-file-sized byte
 // buffer is returned to the pool when its fetch resolves (success,
 // corruption, or drop alike), and the pipeline hands decoded cubes back
 // through Recycle once Doppler filtering has consumed them, so
-// steady-state reads allocate nothing.
+// steady-state reads allocate nothing. Build it with NewFileSource.
 type FileSource struct {
+	frontend
+
 	FS    *pfs.RealFS
 	Dims  cube.Dims
 	Files int
@@ -146,28 +187,13 @@ type FileSource struct {
 	// reports ErrCorrupt (values < 1 mean 2).
 	ChunkRetries int
 
-	// fileBytes is the probed staging-file size (set by NewFileSource;
-	// zero means the literal-construction fallback: flat v2 layout).
+	// fileBytes is the probed staging-file size.
 	fileBytes int64
-
-	// decodeW, when > 0, overrides DecodeWorkers: SetDecodeWorkers stores
-	// here so the auto-tuner can resize the pool while fetches are in
-	// flight without racing the plain config field.
-	decodeW atomic.Int32
-
-	// clks holds the frontend stage clocks (nil until the pipeline wires
-	// them); behind an atomic pointer because fetch goroutines can outlive
-	// the run that armed them.
-	clks atomic.Pointer[srcClocks]
 
 	bufs     sync.Pool // *readBuf
 	cubes    sync.Pool // *cube.Cube
 	bufNews  atomic.Int64
 	cubeNews atomic.Int64
-
-	chunkRereads     atomic.Int64
-	chunkRereadBytes atomic.Int64
-	repairedReads    atomic.Int64
 
 	// bandHdrs caches each staging file's parsed header + chunk table for
 	// the banded read path (ReadBand); bandMu guards it.
@@ -179,23 +205,13 @@ type FileSource struct {
 // than the slice keeps Put from boxing a fresh interface value per read.
 type readBuf struct{ b []byte }
 
-// fileSize returns the staging-file size reads must cover.
-func (s *FileSource) fileSize() int64 {
-	if s.fileBytes > 0 {
-		return s.fileBytes
-	}
-	return cube.FileBytes(s.Dims)
-}
-
-// getBuf leases a staging-file-sized read buffer. The pools work without a
-// constructor (FileSource may be built as a literal), so allocation is the
-// nil-Get fallback rather than sync.Pool.New.
+// getBuf leases a staging-file-sized read buffer.
 func (s *FileSource) getBuf() *readBuf {
 	if v := s.bufs.Get(); v != nil {
 		return v.(*readBuf)
 	}
 	s.bufNews.Add(1)
-	return &readBuf{b: make([]byte, s.fileSize())}
+	return &readBuf{b: make([]byte, s.fileBytes)}
 }
 
 func (s *FileSource) putBuf(rb *readBuf) { s.bufs.Put(rb) }
@@ -227,38 +243,13 @@ func (s *FileSource) PoolNews() (bufs, cubes int64) {
 	return s.bufNews.Load(), s.cubeNews.Load()
 }
 
-// IOStats implements IOStatSource.
-func (s *FileSource) IOStats() IOStats {
-	return IOStats{
-		ChunkRereads:     s.chunkRereads.Load(),
-		ChunkRereadBytes: s.chunkRereadBytes.Load(),
-		RepairedReads:    s.repairedReads.Load(),
-	}
-}
-
-// SetDecodeWorkers implements DecodeParallelSource. Safe to call while
-// fetches are in flight: the count lands in an atomic that in-flight
-// decodes load once at their start.
-func (s *FileSource) SetDecodeWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.decodeW.Store(int32(n))
-}
-
+// decodeWorkers is the live decode pool size: the last SetDecodeWorkers,
+// else DecodeWorkers (at least 1).
 func (s *FileSource) decodeWorkers() int {
 	if n := s.decodeW.Load(); n > 0 {
 		return int(n)
 	}
-	if s.DecodeWorkers < 1 {
-		return 1
-	}
-	return s.DecodeWorkers
-}
-
-// setStageClocks implements clockedSource.
-func (s *FileSource) setStageClocks(read, dec *stageClock) {
-	s.clks.Store(&srcClocks{read: read, dec: dec})
+	return max(s.DecodeWorkers, 1)
 }
 
 func (s *FileSource) chunkRetries() int {
@@ -269,8 +260,8 @@ func (s *FileSource) chunkRetries() int {
 }
 
 // NewFileSource validates the geometry against the first staging file and
-// learns the dataset's cube format (flat v2 or chunked v3) from its header,
-// sizing the read-buffer pool accordingly. The probe bypasses fault
+// learns the dataset's chunk size from its header, sizing the read-buffer
+// pool accordingly. The probe bypasses fault
 // injection — startup metadata reads are not part of the modelled data
 // path.
 func NewFileSource(fs *pfs.RealFS, dims cube.Dims, files int) (*FileSource, error) {
@@ -296,16 +287,13 @@ func NewFileSource(fs *pfs.RealFS, dims cube.Dims, files int) (*FileSource, erro
 	if h.Dims != dims {
 		return nil, fmt.Errorf("pipexec: staging file holds %v, expected %v", h.Dims, dims)
 	}
-	want := cube.FileBytes(dims)
-	if h.Version >= cube.FormatVersionChunked {
-		chunk := int(binary.LittleEndian.Uint32(hbuf[cube.HeaderSize:]))
-		if chunk <= 0 || chunk%8 != 0 {
-			return nil, fmt.Errorf("pipexec: staging file declares invalid chunk size %d", chunk)
-		}
-		want = cube.FileBytesChunked(dims, chunk)
+	chunk := int(binary.LittleEndian.Uint32(hbuf[cube.HeaderSize:]))
+	if chunk <= 0 || chunk%8 != 0 {
+		return nil, fmt.Errorf("pipexec: staging file declares invalid chunk size %d", chunk)
 	}
+	want := cube.FileBytesChunked(dims, chunk)
 	if size != want {
-		return nil, fmt.Errorf("pipexec: staging file is %d bytes, want %d for %v (format v%d)", size, want, dims, h.Version)
+		return nil, fmt.Errorf("pipexec: staging file is %d bytes, want %d for %v", size, want, dims)
 	}
 	return &FileSource{FS: fs, Dims: dims, Files: files, fileBytes: want}, nil
 }
@@ -319,17 +307,12 @@ type filePending struct {
 	err  error
 }
 
-// Begin implements AsyncSource: it issues a striped read of the whole
-// staging file for the CPI.
-func (s *FileSource) Begin(seq uint64) PendingCube {
-	return s.BeginAttempt(seq, 0)
-}
-
-// BeginAttempt implements RetryableSource. The read's fault-plan tag folds
-// the CPI sequence number in with the attempt: staging files are reused
+// Begin implements CubeSource: it issues a striped read of the whole
+// staging file for the CPI. The read's fault-plan tag folds the CPI
+// sequence number in with the attempt: staging files are reused
 // round-robin, so without the seq every visit to a file would draw the
 // same injected fate.
-func (s *FileSource) BeginAttempt(seq uint64, attempt int) PendingCube {
+func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 	rb := s.getBuf()
 	name := radar.FileName(radar.FileFor(seq, s.Files))
 	tag := int(seq)<<8 | attempt&0xff
@@ -354,7 +337,7 @@ func (p *filePending) Wait() (*cube.Cube, error) {
 	return p.cb, p.err
 }
 
-// Ready implements ReadyPending without blocking.
+// Ready implements PendingCube.
 func (p *filePending) Ready() bool {
 	select {
 	case <-p.done:
@@ -365,18 +348,17 @@ func (p *filePending) Ready() bool {
 }
 
 // fetch blocks on the striped read, then verifies and decodes the payload.
-// With stage clocks armed (setStageClocks) the striped-read wait lands on
-// the read clock — one per-fetch serial latency sample, the tuner's serial
-// work for the frontend — and the verify+decode section lands on the
-// decode clock.
+// With clocks armed (SetClocks) the striped-read wait lands on the read
+// clock — one per-fetch serial latency sample, the tuner's serial work for
+// the frontend — and the verify+decode section lands on the decode clock.
 func (s *FileSource) fetch(name string, seq uint64, tag int, buf []byte, pend *pfs.Pending) (*cube.Cube, error) {
-	clks := s.clks.Load()
+	clks := s.clocks()
 	t0 := time.Now()
 	if err := pend.Wait(); err != nil {
 		return nil, err
 	}
-	if clks != nil && clks.read != nil {
-		clks.read.add(time.Since(t0))
+	if clks.read != nil {
+		clks.read(time.Since(t0))
 	}
 	h, err := cube.ParseHeader(buf)
 	if err != nil {
@@ -392,33 +374,15 @@ func (s *FileSource) fetch(name string, seq uint64, tag int, buf []byte, pend *p
 	}
 	cb := s.getCube()
 	d0 := time.Now()
-	if h.Chunks() > 0 {
-		err = s.decodeChunked(name, seq, tag, &h, payload, cb)
-	} else {
-		err = s.decodeFlat(seq, &h, payload, cb)
-	}
-	if clks != nil && clks.dec != nil {
-		clks.dec.add(time.Since(d0))
+	err = s.decodeChunked(name, seq, tag, &h, payload, cb)
+	if clks.dec != nil {
+		clks.dec(time.Since(d0))
 	}
 	if err != nil {
 		s.Recycle(cb)
 		return nil, err
 	}
 	return cb, nil
-}
-
-// decodeFlat verifies the whole-payload checksum and decodes, sharding the
-// decode across the worker pool. Flat files carry no chunk table, so a
-// corrupt payload cannot be repaired in place — the error propagates and
-// the pipeline's retry policy re-reads the whole file.
-func (s *FileSource) decodeFlat(seq uint64, h *cube.Header, payload []byte, cb *cube.Cube) error {
-	if err := cube.VerifyPayload(*h, payload); err != nil {
-		return fmt.Errorf("pipexec: CPI %d: %w", seq, err)
-	}
-	return parallel(s.decodeWorkers(), len(cb.Data), func(_ int, blk cube.Block) error {
-		cube.DecodeSampleRange(cb, payload, blk.Lo, blk.Hi)
-		return nil
-	})
 }
 
 // decodeChunked verifies and decodes chunk by chunk across the worker
@@ -477,6 +441,7 @@ func (s *FileSource) decodeChunked(name string, seq uint64, tag int, h *cube.Hea
 // MemSource serves cubes from a generator function; used by tests and the
 // in-memory examples. The generator must be safe for concurrent calls.
 type MemSource struct {
+	NoFrontend
 	Generate func(seq uint64) (*cube.Cube, error)
 }
 
@@ -486,12 +451,8 @@ func (s *MemSource) Recycle(cb *cube.Cube) {}
 
 // Compile-time interface checks for the built-in sources.
 var (
-	_ CubeSource           = (*FileSource)(nil)
-	_ RetryableSource      = (*FileSource)(nil)
-	_ IOStatSource         = (*FileSource)(nil)
-	_ DecodeParallelSource = (*FileSource)(nil)
-	_ clockedSource        = (*FileSource)(nil)
-	_ CubeSource           = (*MemSource)(nil)
+	_ CubeSource = (*FileSource)(nil)
+	_ CubeSource = (*MemSource)(nil)
 )
 
 type memPending struct {
@@ -499,8 +460,9 @@ type memPending struct {
 	err error
 }
 
-// Begin implements AsyncSource, generating eagerly in a goroutine.
-func (s *MemSource) Begin(seq uint64) PendingCube {
+// Begin implements CubeSource, generating eagerly in a goroutine; a
+// generator has no faults to re-draw, so attempt is ignored.
+func (s *MemSource) Begin(seq uint64, attempt int) PendingCube {
 	p := &memPending{}
 	done := make(chan struct{})
 	go func() {
@@ -520,7 +482,7 @@ func (w *waitPending) Wait() (*cube.Cube, error) {
 	return w.p.cb, w.p.err
 }
 
-// Ready implements ReadyPending without blocking.
+// Ready implements PendingCube.
 func (w *waitPending) Ready() bool {
 	select {
 	case <-w.done:

@@ -197,7 +197,7 @@ type spillSlot struct {
 	spilled bool
 }
 
-// Ready implements ReadyPending.
+// Ready implements PendingCube.
 func (s *spillSlot) Ready() bool {
 	select {
 	case <-s.done:
@@ -312,8 +312,4 @@ func (sp *spiller) reload(seq uint64) (*cube.Cube, error) {
 	return cb, nil
 }
 
-// Compile-time interface checks.
-var (
-	_ PendingCube  = (*spillSlot)(nil)
-	_ ReadyPending = (*spillSlot)(nil)
-)
+var _ PendingCube = (*spillSlot)(nil)

@@ -28,17 +28,21 @@ var errCubeConsumed = errors.New("pipexec: streamed cube already consumed")
 // may arrive first; fetches for not-yet-published sequence numbers simply
 // park until the producer commits.
 //
-// StreamSource implements the full instrumentation surface FileSource has:
-// ReadyPending handles (window-occupancy accounting), frontend stage
+// StreamSource has the same instrumented frontend FileSource has: stage
 // clocks ("src read" records publish-to-commit transfer latency, "src
-// decode" the per-chunk decode work), live decode-pool resizing, and
-// IOStats repair counters — so a pipeline fed by a stream is eligible for
-// the same joint I/O+compute autotune solve as a file-fed one.
+// decode" the per-chunk decode work) and IOStats repair counters (chunk re-reads are the repair-round chunk
+// re-sends that landed clean, repaired reads the cubes that committed
+// despite a corrupt chunk) — so a pipeline fed by a stream is eligible for
+// the same joint I/O+compute autotune solve as a file-fed one. Chunks
+// decode in the producer's goroutine, so the decode-pool size only
+// records the tuner's choice.
 //
 // Error entries (aborted publications, close) are retained until Close so
 // a retrying consumer re-Begins into the same terminal error instead of
 // parking forever; successful entries are dropped as they are consumed.
 type StreamSource struct {
+	frontend
+
 	// Dims is the cube geometry every publication must match.
 	Dims cube.Dims
 	// OnDeliver, when set before first use, is called once per cube handed
@@ -52,23 +56,9 @@ type StreamSource struct {
 
 	cubes    sync.Pool // *cube.Cube slabs
 	cubeNews atomic.Int64
-
-	decodeW atomic.Int32
-	clks    atomic.Pointer[srcClocks]
-
-	chunkRereads     atomic.Int64
-	chunkRereadBytes atomic.Int64
-	repairedReads    atomic.Int64
 }
 
-// Compile-time checks: StreamSource carries the full tunable-source surface.
-var (
-	_ CubeSource           = (*StreamSource)(nil)
-	_ IOStatSource         = (*StreamSource)(nil)
-	_ DecodeParallelSource = (*StreamSource)(nil)
-	_ clockedSource        = (*StreamSource)(nil)
-	_ ReadyPending         = (*streamPending)(nil)
-)
+var _ CubeSource = (*StreamSource)(nil)
 
 // streamEntry is one sequence number's rendezvous slot. done closes when
 // the entry resolves (cube delivered or error); resolved guards against a
@@ -106,10 +96,11 @@ func (s *StreamSource) entryLocked(seq uint64) *streamEntry {
 	return e
 }
 
-// Begin implements AsyncSource: the returned handle resolves when the
-// producer commits (or aborts) sequence seq. Begin after Close resolves
-// immediately with the close error.
-func (s *StreamSource) Begin(seq uint64) PendingCube {
+// Begin implements CubeSource: the returned handle resolves when the
+// producer commits (or aborts) sequence seq. A retry re-joins the same
+// rendezvous (an aborted publication stays failed), so attempt is ignored.
+// Begin after Close resolves immediately with the close error.
+func (s *StreamSource) Begin(seq uint64, attempt int) PendingCube {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[seq]; ok {
@@ -142,9 +133,9 @@ func (p *streamPending) Wait() (*cube.Cube, error) {
 	return p.e.cb, nil
 }
 
-// Ready implements ReadyPending without blocking. A delivered error counts
-// as ready — the window's occupancy accounting wants "will Wait return
-// without blocking", not "is there a cube".
+// Ready implements PendingCube. A delivered error counts as ready — the
+// window's occupancy accounting wants "will Wait return without blocking",
+// not "is there a cube".
 func (p *streamPending) Ready() bool {
 	select {
 	case <-p.e.done:
@@ -193,38 +184,6 @@ func (s *StreamSource) Recycle(cb *cube.Cube) {
 // open publications, not the CPI count.
 func (s *StreamSource) PoolNews() int64 { return s.cubeNews.Load() }
 
-// IOStats implements IOStatSource: chunk re-reads are the repair-round
-// chunk re-sends that landed clean, repaired reads the cubes that
-// committed despite at least one corrupt chunk.
-func (s *StreamSource) IOStats() IOStats {
-	return IOStats{
-		ChunkRereads:     s.chunkRereads.Load(),
-		ChunkRereadBytes: s.chunkRereadBytes.Load(),
-		RepairedReads:    s.repairedReads.Load(),
-	}
-}
-
-// SetDecodeWorkers implements DecodeParallelSource; the count lands in an
-// atomic so the auto-tuner can resize while publications are in flight.
-func (s *StreamSource) SetDecodeWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.decodeW.Store(int32(n))
-}
-
-func (s *StreamSource) decodeWorkers() int {
-	if n := s.decodeW.Load(); n > 0 {
-		return int(n)
-	}
-	return 1
-}
-
-// setStageClocks implements clockedSource.
-func (s *StreamSource) setStageClocks(read, dec *stageClock) {
-	s.clks.Store(&srcClocks{read: read, dec: dec})
-}
-
 // Close fails every unresolved fetch with ErrStreamClosed, recycles
 // delivered-but-unconsumed cubes, and rejects all further publications.
 // Safe to call more than once.
@@ -269,9 +228,8 @@ func (s *StreamSource) Publish(seq uint64) (*CubePublisher, error) {
 // CubePublisher feeds one CPI cube into a StreamSource. The zero-copy path
 // is Announce + Chunk-per-chunk + Commit: each chunk is CRC-verified and
 // decoded straight from the caller's transport buffer into the pooled slab,
-// so the full file image never exists. CommitPayload covers whole-frame
-// producers (the legacy submit path) and CommitCube in-process generators
-// that already hold a decoded cube. Exactly one of Commit, CommitPayload,
+// so the full file image never exists. CommitCube covers in-process
+// generators that already hold a decoded cube. Exactly one of Commit,
 // CommitCube, or Abort terminates the publication.
 type CubePublisher struct {
 	s   *StreamSource
@@ -292,8 +250,8 @@ type CubePublisher struct {
 // Seq returns the sequence number this publisher feeds.
 func (p *CubePublisher) Seq() uint64 { return p.seq }
 
-// Announce declares the cube's header (geometry plus, for the chunk path,
-// its chunk table) and leases the decode slab. It must precede Chunk.
+// Announce declares the cube's header (geometry plus chunk table) and
+// leases the decode slab. It must precede Chunk.
 func (p *CubePublisher) Announce(h cube.Header) error {
 	if p.done {
 		return ErrStreamClosed
@@ -381,16 +339,12 @@ func (p *CubePublisher) Commit() error {
 func (p *CubePublisher) deliver(cb *cube.Cube) error {
 	p.done = true
 	p.cb = nil
-	if clks := p.s.clks.Load(); clks != nil {
-		if read := time.Since(p.t0) - time.Duration(p.decNS); clks.read != nil {
-			if read < 0 {
-				read = 0
-			}
-			clks.read.add(read)
-		}
-		if clks.dec != nil {
-			clks.dec.add(time.Duration(p.decNS))
-		}
+	clks := p.s.clocks()
+	if clks.read != nil {
+		clks.read(max(time.Since(p.t0)-time.Duration(p.decNS), 0))
+	}
+	if clks.dec != nil {
+		clks.dec(time.Duration(p.decNS))
 	}
 	if p.repaired {
 		p.s.repairedReads.Add(1)
@@ -405,38 +359,6 @@ func (p *CubePublisher) deliver(cb *cube.Cube) error {
 	s.resolveLocked(p.e, cb, nil)
 	s.mu.Unlock()
 	return nil
-}
-
-// CommitPayload decodes a whole already-verified payload — the legacy
-// whole-frame submit path — sharding the decode across the live decode
-// worker count, then delivers.
-func (p *CubePublisher) CommitPayload(h cube.Header, payload []byte) error {
-	if p.cb == nil {
-		if err := p.Announce(h); err != nil {
-			return err
-		}
-	}
-	if int64(len(payload)) < h.Bytes() {
-		err := fmt.Errorf("pipexec: CPI %d: %w: payload is %d bytes, want %d",
-			p.seq, cube.ErrTruncated, len(payload), h.Bytes())
-		p.Abort(err)
-		return err
-	}
-	cb := p.cb
-	d0 := time.Now()
-	if err := parallel(p.s.decodeWorkers(), len(cb.Data), func(_ int, blk cube.Block) error {
-		cube.DecodeSampleRange(cb, payload, blk.Lo, blk.Hi)
-		return nil
-	}); err != nil {
-		p.Abort(err)
-		return err
-	}
-	p.decNS += int64(time.Since(d0))
-	for i := range p.got {
-		p.got[i] = true
-	}
-	p.miss = 0
-	return p.deliver(cb)
 }
 
 // CommitCube hands an already-decoded cube straight through — the

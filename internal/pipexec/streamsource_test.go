@@ -25,7 +25,7 @@ func encodeScenarioCPI(t *testing.T, s *radar.Scenario, k uint64, chunkSize int)
 	return frame, h
 }
 
-// TestStreamSourcePendingReadyOnError pins the ReadyPending contract: a
+// TestStreamSourcePendingReadyOnError pins PendingCube.Ready's contract: a
 // publication resolved with an error counts as ready exactly like a
 // delivered cube — the pipeline's occupancy sampling must see "an answer
 // is waiting", not "a cube is waiting".
@@ -34,10 +34,7 @@ func TestStreamSourcePendingReadyOnError(t *testing.T) {
 	src := NewStreamSource(s.Dims)
 	defer src.Close()
 
-	p := src.Begin(7).(interface {
-		PendingCube
-		Ready() bool
-	})
+	p := src.Begin(7, 0)
 	if p.Ready() {
 		t.Fatal("pending ready before anything was published")
 	}
@@ -55,10 +52,7 @@ func TestStreamSourcePendingReadyOnError(t *testing.T) {
 	}
 	// A re-Begin of the same seq (the pipeline's retry path) must observe
 	// the same resolved error immediately rather than hanging.
-	p2 := src.Begin(7).(interface {
-		PendingCube
-		Ready() bool
-	})
+	p2 := src.Begin(7, 1)
 	if !p2.Ready() {
 		t.Fatal("re-Begin of an errored seq is not ready")
 	}
@@ -133,7 +127,7 @@ func TestStreamSourceChunkRepairMidStream(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 
-	got, err := src.Begin(0).Wait()
+	got, err := src.Begin(0, 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,15 +71,6 @@ const defaultMaxReadAhead = 32
 // so counts beyond this see no useful parallelism on any plausible host.
 const maxDecodeWorkers = 16
 
-// ioTunable reports whether src supports the joint I/O + compute solve:
-// it must expose frontend stage clocks (so the tuner can measure the read
-// and decode paths) and a live-resizable decode pool.
-func ioTunable(src CubeSource) bool {
-	_, clocked := src.(clockedSource)
-	_, decodes := src.(DecodeParallelSource)
-	return clocked && decodes
-}
-
 // autoTuneWorkers derives the cold-start Workers split from an AutoTune
 // budget: the budget spread as evenly as possible over the seven task
 // slots, in pipeline order. (In the combined design the PC and CFAR slots
@@ -108,7 +99,7 @@ func withAutoTuneDefaults(cfg Config, src CubeSource) (Config, error) {
 		return cfg, nil
 	}
 	budget := cfg.AutoTune.Budget
-	if ioTunable(src) {
+	if src.Frontend() {
 		if cfg.ReadAhead < 1 {
 			cfg.ReadAhead = 1
 		}
@@ -155,11 +146,11 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 		stages[i] = tune.Stage{Name: clks[i].name, Max: caps[i]}
 		r.tuneClocks = append(r.tuneClocks, clks[i])
 	}
-	// An instrumentable frontend joins the solve: the readahead window is
-	// a serial (latency-hiding) stage whose "workers" are prefetch slots,
-	// the decode pool a regular compute stage. Their knobs then trade off
+	// A source frontend joins the solve: the readahead window is a serial
+	// (latency-hiding) stage whose "workers" are prefetch slots, the
+	// decode pool a regular compute stage. Their knobs then trade off
 	// against compute workers under the one shared budget.
-	if r.srcRead != nil && r.decSrc != nil {
+	if r.srcRead != nil {
 		r.ioTune = true
 		// A memory budget turns available bytes into a hard cap on the I/O
 		// frontend: beyond (limit − minimum residency)/cube there is no
@@ -187,7 +178,7 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 		if dw > maxDW {
 			dw = maxDW
 			r.decW.Store(int32(dw))
-			r.decSrc.SetDecodeWorkers(dw)
+			r.src.SetDecodeWorkers(dw)
 		}
 		stages = append(stages,
 			tune.Stage{Name: r.srcRead.name, Max: maxRA, Serial: true},
@@ -230,7 +221,7 @@ func (r *runner) applySplit(split []int) {
 	r.raDepth.Store(int32(split[len(r.wcs)]))
 	dw := split[len(r.wcs)+1]
 	r.decW.Store(int32(dw))
-	r.decSrc.SetDecodeWorkers(dw)
+	r.src.SetDecodeWorkers(dw)
 }
 
 // afterCPI runs on the terminal stage's goroutine after each recorded CPI:
@@ -249,9 +240,9 @@ func (r *runner) afterCPI() {
 				r.wcs[stage].Store(int32(n))
 			case stage == len(r.wcs) && n >= 1:
 				r.raDepth.Store(int32(n))
-			case stage == len(r.wcs)+1 && n >= 1 && r.decSrc != nil:
+			case stage == len(r.wcs)+1 && n >= 1 && r.src.Frontend():
 				r.decW.Store(int32(n))
-				r.decSrc.SetDecodeWorkers(n)
+				r.src.SetDecodeWorkers(n)
 			}
 		})
 	}

@@ -30,19 +30,12 @@ func FileFor(seq uint64, fileCount int) int { return int(seq % uint64(fileCount)
 // WriteDataset generates CPIs seq = 0..count-1 from the scenario and writes
 // each into its round-robin staging file on fs (so after the call file i
 // holds the most recent CPI with seq ≡ i mod fileCount). Files are written
-// in the chunked version-3 cube format at the default chunk size, so
-// readers can shard decode/verify and re-read individual corrupt chunks.
+// in the chunked cube format at the default chunk size, so readers can
+// shard decode/verify and re-read individual corrupt chunks.
 // It returns the generated cubes for ground-truth checks; pass keep=false
 // to discard them and bound memory.
 func WriteDataset(fs FileStore, s *Scenario, count, fileCount int, keep bool) ([]*cube.Cube, error) {
 	return writeDataset(fs, s, count, fileCount, keep, cube.DefaultChunkSize)
-}
-
-// WriteDatasetFlat is WriteDataset emitting the flat version-2 format —
-// how pre-chunking datasets were staged, kept so the compatibility path
-// stays exercised.
-func WriteDatasetFlat(fs FileStore, s *Scenario, count, fileCount int, keep bool) ([]*cube.Cube, error) {
-	return writeDataset(fs, s, count, fileCount, keep, 0)
 }
 
 // WriteDatasetChunked is WriteDataset with an explicit chunk size (a
@@ -64,21 +57,13 @@ func writeDataset(fs FileStore, s *Scenario, count, fileCount int, keep bool, ch
 		return nil, fmt.Errorf("radar: count %d < 0", count)
 	}
 	var kept []*cube.Cube
-	size := cube.FileBytes(s.Dims)
-	if chunkSize > 0 {
-		size = cube.FileBytesChunked(s.Dims, chunkSize)
-	}
-	buf := make([]byte, size)
+	buf := make([]byte, cube.FileBytesChunked(s.Dims, chunkSize))
 	for seq := 0; seq < count; seq++ {
 		cb, err := s.Generate(uint64(seq))
 		if err != nil {
 			return nil, err
 		}
-		if chunkSize > 0 {
-			cube.EncodeChunked(cb, uint64(seq), chunkSize, buf)
-		} else {
-			cube.Encode(cb, uint64(seq), buf)
-		}
+		cube.EncodeChunked(cb, uint64(seq), chunkSize, buf)
 		name := FileName(FileFor(uint64(seq), fileCount))
 		if err := fs.WriteFile(name, buf); err != nil {
 			return nil, fmt.Errorf("radar: writing %s: %w", name, err)

@@ -98,12 +98,14 @@ func BenchmarkServeLoopback(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "CPIs/s")
 }
 
-// benchLoopbackFixed drives a fixed number of CPIs closed-loop through one
-// replica per b.N iteration and reports the sustained rate of the last
-// iteration. The fixed count (rather than b.N CPIs total) keeps
-// `-benchtime 1x` meaningful — one iteration is one full 512-CPI run —
-// which is how bench7 records the framed-vs-streamed comparison.
-func benchLoopbackFixed(b *testing.B, streaming bool) {
+// BenchmarkServeStreamLoopback drives a fixed number of CPIs closed-loop
+// through one replica per b.N iteration and reports the sustained rate of
+// the last iteration. Every cube crosses the wire as header + chunk frames
+// in one vectored write and decodes straight from the connection read
+// buffer into the replica's pooled slab. The fixed count (rather than b.N
+// CPIs total) keeps `-benchtime 1x` meaningful — one iteration is one full
+// 512-CPI run.
+func BenchmarkServeStreamLoopback(b *testing.B) {
 	const n = 512
 	s := radar.SmallTestScenario()
 	cfg := testServerConfig()
@@ -126,7 +128,7 @@ func benchLoopbackFixed(b *testing.B, streaming bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cl, err := Dial(srv.Addr().String(), Options{Dims: s.Dims, ResultBuffer: 64, Streaming: streaming})
+	cl, err := Dial(srv.Addr().String(), Options{Dims: s.Dims, ResultBuffer: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -182,21 +184,7 @@ func benchLoopbackFixed(b *testing.B, streaming bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(rate, "CPIs/s")
-	if streamed := srv.Stats().StreamedCPIs; streaming && streamed < int64(n*b.N) {
-		b.Fatalf("only %d of %d CPIs took the streaming path", streamed, n*b.N)
-	}
 }
-
-// BenchmarkServeFramedLoopback is the framed-submit baseline at a fixed
-// CPI count — the BENCH_4-comparable path, now decoding submissions
-// through the replica's pooled slabs instead of an assembled cube copy.
-func BenchmarkServeFramedLoopback(b *testing.B) { benchLoopbackFixed(b, false) }
-
-// BenchmarkServeStreamLoopback is the same producer over streamed ingest:
-// every cube crosses the wire as header + chunk frames in one vectored
-// write and decodes straight from the connection read buffer into the
-// replica's pooled slab — no file image is ever assembled server-side.
-func BenchmarkServeStreamLoopback(b *testing.B) { benchLoopbackFixed(b, true) }
 
 // BenchmarkServeStreamAutotune is the slow-producer streaming scenario
 // behind BENCH_7.json: several paced producers stream cubes chunk-by-chunk
@@ -251,8 +239,7 @@ func BenchmarkServeStreamAutotune(b *testing.B) {
 			go func() {
 				defer wg.Done()
 				cl, err := ln.dial(Options{
-					Dims: s.Dims, ResultBuffer: 4,
-					Streaming: true, ChunkPace: pace,
+					Dims: s.Dims, ResultBuffer: 4, ChunkPace: pace,
 				})
 				if err != nil {
 					errs <- err

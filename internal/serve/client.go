@@ -16,7 +16,7 @@ import (
 )
 
 // Client is a producer connection to a detection service. Submissions are
-// asynchronous: Submit returns once the frame is written, and the CPI's
+// asynchronous: Submit returns once the CPI's frames are written, and the CPI's
 // detection reports (or its typed rejection) arrive on Results in
 // completion order. The caller must drain Results; it is closed after
 // Close (or a server-side disconnect) once every outstanding submission
@@ -70,19 +70,16 @@ type Options struct {
 	// Re-sent chunks re-draw with the repair round as the attempt, exactly
 	// like file-path retries.
 	Faults *pfs.FaultPlan
-	// Streaming sends chunked (v3) submissions as streamed ingest: the
-	// header + chunk table first, then each chunk as its own frame, then
-	// an end marker. The server CRC-checks and decodes every chunk
-	// straight from its connection read buffer into a replica's pooled
-	// cube slab — no whole-cube file image is buffered on either ingest
-	// hop. Flat (v2) frames fall back to the framed submit.
+	// Streaming is ignored: every submission is chunk-streamed.
+	//
+	// Deprecated: ignored.
 	Streaming bool
-	// ChunkPace, with Streaming, spaces consecutive chunk frames by this
-	// duration — a synthetic slow producer for benchmarks and tests. 0
-	// sends the whole submission as one vectored write.
+	// ChunkPace spaces consecutive chunk frames by this duration — a
+	// synthetic slow producer for benchmarks and tests. 0 sends the whole
+	// submission as one vectored write.
 	ChunkPace time.Duration
 	// SendSndBuf caps the connection's kernel send buffer in bytes (0
-	// keeps the OS default). With paced streaming it keeps the producer's
+	// keeps the OS default). With a chunk pace it keeps the producer's
 	// slowness real on the wire: a server applying ingest backpressure
 	// stalls the producer's writes instead of the pace draining unseen
 	// into a deep socket buffer.
@@ -208,7 +205,8 @@ func (cl *Client) handshake() error {
 	if err := writeFrame(cl.c, fHello, encodeHello(cl.opt.Dims)); err != nil {
 		return err
 	}
-	ftype, n, err := readPrelude(cl.c, cl.opt.maxFrame())
+	var pre [framePrelude]byte
+	ftype, n, err := readPrelude(cl.c, pre[:], cl.opt.maxFrame())
 	if err != nil {
 		return fmt.Errorf("serve: handshake: %w", err)
 	}
@@ -248,11 +246,12 @@ func (cl *Client) RepairStats() (repairReqs, chunkResends, injectedCorruptions i
 // still came back with a result — delivered despite wire corruption.
 func (cl *Client) RepairedFrames() int64 { return cl.framesRepaired.Load() }
 
-// Submit sends one encoded cube file (flat v2 or chunked v3; chunked is
-// repairable on the wire). The frame's header carries the CPI sequence
-// number, which must be unique among this connection's in-flight CPIs; the
-// caller must not mutate frame until the CPI's Result arrives. Returns the
-// submitted sequence number.
+// Submit sends one encoded cube file, chunk by chunk. The frame's header
+// carries the CPI sequence number, which must be unique among this
+// connection's in-flight CPIs; the caller must not mutate frame until the
+// CPI's Result arrives. A frame in any cube format version but the
+// current one is refused before anything is written, with an error
+// matching cube.ErrVersion. Returns the submitted sequence number.
 func (cl *Client) Submit(frame []byte) (uint64, error) {
 	if cl.closed.Load() {
 		return 0, ErrClosed
@@ -273,25 +272,14 @@ func (cl *Client) Submit(frame []byte) (uint64, error) {
 	cl.pending[h.Seq] = sub
 	cl.mu.Unlock()
 
-	if cl.opt.Streaming && h.Chunks() > 0 {
-		if err := cl.submitStream(frame, &h); err != nil {
-			cl.take(h.Seq)
-			return 0, err
-		}
-		return h.Seq, nil
-	}
-	wire := frame
-	if cl.opt.Faults != nil {
-		wire = cl.corruptCopy(frame, &h, 0)
-	}
-	if err := cl.write(fSubmit, wire); err != nil {
+	if err := cl.submitStream(frame, &h); err != nil {
 		cl.take(h.Seq)
 		return 0, err
 	}
 	return h.Seq, nil
 }
 
-// submitStream sends one chunked cube as streamed ingest frames. The whole
+// submitStream sends one cube as header, chunk and end frames. The whole
 // submission goes out under one write-lock hold, so concurrent submitters
 // never interleave a CPI's frames; with no pacing it is a single vectored
 // write (header, every chunk, end marker — zero payload copies).
@@ -372,35 +360,9 @@ func (cl *Client) write(ftype byte, payload []byte) error {
 	return nil
 }
 
-// corruptCopy returns a copy of frame with the fault plan applied to its
-// payload chunks: each chunk independently draws (seq, chunk, attempt) and
-// a corrupt draw flips one byte, which the per-chunk CRC will catch
-// server-side. Flat frames draw once for the whole payload.
-func (cl *Client) corruptCopy(frame []byte, h *cube.Header, attempt int) []byte {
-	out := make([]byte, len(frame))
-	copy(out, frame)
-	payload := out[h.PayloadOffset():]
-	chunks := h.Chunks()
-	if chunks == 0 {
-		if o := cl.opt.Faults.ReadOutcome("net", int64(h.Seq), 0, attempt); o.Corrupt {
-			payload[cl.opt.Faults.CorruptOffset("net", int64(h.Seq), attempt, int64(len(payload)))] ^= 0x40
-			cl.corruptions.Add(1)
-		}
-		return out
-	}
-	for i := 0; i < chunks; i++ {
-		if o := cl.opt.Faults.ReadOutcome("net", int64(h.Seq), i<<16|attempt, attempt); !o.Corrupt {
-			continue
-		}
-		lo, hi := h.ChunkSpan(i)
-		off := cl.opt.Faults.CorruptOffset("net", int64(h.Seq), i<<16|attempt, hi-lo)
-		payload[lo+off] ^= 0x40
-		cl.corruptions.Add(1)
-	}
-	return out
-}
-
-// corruptChunk applies the fault plan to one re-sent chunk.
+// corruptChunk applies the fault plan to one chunk: each chunk draws
+// independently on (seq, chunk, attempt), and a corrupt draw flips one
+// byte of a copy, which the per-chunk CRC catches server-side.
 func (cl *Client) corruptChunk(data []byte, h *cube.Header, chunk, attempt int) []byte {
 	if cl.opt.Faults == nil {
 		return data
@@ -452,12 +414,19 @@ func (cl *Client) readLoop() {
 		}
 		close(cl.results)
 	}()
+	// Every decoder below copies what it keeps, so one buffer, grown to
+	// the largest frame, serves every frame.
+	var pre [framePrelude]byte
+	var buf []byte
 	for {
-		ftype, n, err := readPrelude(cl.c, cl.opt.maxFrame())
+		ftype, n, err := readPrelude(cl.c, pre[:], cl.opt.maxFrame())
 		if err != nil {
 			return
 		}
-		buf := make([]byte, n)
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
 		if _, err := io.ReadFull(cl.c, buf); err != nil {
 			return
 		}

@@ -3,12 +3,13 @@
 // dispatches them across a pool of real pipeline replicas (pipexec.Stream),
 // and each CPI's detection reports stream back on the same connection.
 //
-// The wire protocol frames the existing chunked cube file format (cube
-// format v3), so the per-chunk CRC-32C protection the striped file store
-// uses carries over the network unchanged: a frame whose payload arrives
-// with corrupt chunks is repaired by re-requesting exactly those chunks
-// from the producer — the network mirror of the file path's partial
-// re-read — instead of dropping or re-sending the whole CPI.
+// The wire protocol streams the chunked cube file format: each CPI
+// crosses as its header and chunk table, then one frame per chunk, then an
+// end marker. The per-chunk CRC-32C protection the striped file store uses
+// carries over the network unchanged: a CPI whose chunks arrive corrupt is
+// repaired by re-requesting exactly those chunks from the producer — the
+// network mirror of the file path's partial re-read — instead of dropping
+// or re-sending the whole CPI.
 package serve
 
 import (
@@ -40,14 +41,12 @@ const (
 	DefaultMaxFrameBytes = 64 << 20
 )
 
-// Frame types. The submit payload is an entire encoded cube file (v3
-// chunked preferred; flat v2 is accepted but cannot be chunk-repaired), so
-// the cube header — dims, sequence number, chunk table — needs no
-// duplication in the framing.
+// Frame types. A submit carries the encoded cube header itself — dims,
+// sequence number, chunk table — so none of it is duplicated in the
+// framing. Type 3 is unassigned.
 const (
 	fHello     = 1 // client → server: magic, proto version, cube dims
 	fHelloAck  = 2 // server → client: proto version, admission capacity
-	fSubmit    = 3 // client → server: one encoded cube file
 	fAccept    = 4 // server → client: seq verified and dispatched
 	fReject    = 5 // server → client: seq refused (typed code + message)
 	fRepairReq = 6 // server → client: seq, repair round, corrupt chunk list
@@ -55,13 +54,13 @@ const (
 	fResult    = 8 // server → client: server latency + encoded reports
 	fGoodbye   = 9 // server → client: draining; stop submitting
 
-	// Streaming ingest (client → server): a chunked cube travels as one
-	// fSubmitHdr carrying only the encoded header + chunk table, then one
-	// fChunk per chunk (16-byte prefix + raw chunk bytes), then fSubmitEnd.
-	// The server decodes each chunk straight from the connection read
-	// buffer into a pooled cube slab — no file image is ever materialised
-	// server-side. Corrupt chunks are repaired through the same
-	// fRepairReq/fRepair exchange as framed submits.
+	// Submit (client → server): a cube travels as one fSubmitHdr carrying
+	// only the encoded header + chunk table, then one fChunk per chunk
+	// (16-byte prefix + raw chunk bytes), then fSubmitEnd. The server
+	// decodes each chunk straight from the connection read buffer into a
+	// pooled cube slab — no file image is ever materialised server-side.
+	// Missing or corrupt chunks are repaired through the
+	// fRepairReq/fRepair exchange.
 	fSubmitHdr = 10 // client → server: cube header + chunk table only
 	fChunk     = 11 // client → server: seq, chunk index, raw chunk bytes
 	fSubmitEnd = 12 // client → server: seq; all chunks sent
@@ -79,7 +78,7 @@ const (
 	// could not repair it within the server's repair budget.
 	CodeCorrupt = 3
 	// CodeBadFrame: the frame was structurally invalid (bad cube header,
-	// length mismatch, malformed repair).
+	// length mismatch, malformed or stale repair).
 	CodeBadFrame = 4
 	// CodeBadDims: the cube geometry does not match the service's
 	// configured pipeline parameters.
@@ -141,8 +140,8 @@ func putPrelude(buf []byte, ftype byte, n int) {
 }
 
 // writeFrame writes one frame (prelude + payload) to w. On a net.Conn the
-// two spans go out as one vectored write, so every frame — including the
-// 64 KiB submit hot path — costs a single syscall and no payload copy.
+// two spans go out as one vectored write, so every frame costs a single
+// syscall and no payload copy.
 func writeFrame(w io.Writer, ftype byte, payload []byte) error {
 	var pre [framePrelude]byte
 	putPrelude(pre[:], ftype, len(payload))
@@ -215,6 +214,9 @@ func decodeChunkPrefix(buf []byte) (seq uint64, idx int, err error) {
 	if len(buf) < chunkPrefixLen {
 		return 0, 0, fmt.Errorf("serve: chunk frame of %d bytes is shorter than its %d-byte prefix", len(buf), chunkPrefixLen)
 	}
+	if r := binary.LittleEndian.Uint32(buf[12:16]); r != 0 {
+		return 0, 0, fmt.Errorf("serve: chunk prefix reserved word is %#x, want 0", r)
+	}
 	return binary.LittleEndian.Uint64(buf[0:8]), int(binary.LittleEndian.Uint32(buf[8:12])), nil
 }
 
@@ -234,16 +236,19 @@ func decodeSubmitEnd(buf []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf), nil
 }
 
-// readPrelude reads the next frame's prelude, returning its type and
-// payload length, bounded by maxFrame.
-func readPrelude(r io.Reader, maxFrame int64) (ftype byte, n int, err error) {
-	var pre [framePrelude]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+// readPrelude reads the next frame's prelude into pre (framePrelude bytes
+// of caller scratch, so a reader loop allocates nothing per frame),
+// returning its type and payload length, bounded by maxFrame.
+func readPrelude(r io.Reader, pre []byte, maxFrame int64) (ftype byte, n int, err error) {
+	if _, err := io.ReadFull(r, pre[:framePrelude]); err != nil {
 		return 0, 0, err
 	}
 	length := int64(binary.LittleEndian.Uint32(pre[0:4]))
 	if length > maxFrame {
 		return 0, 0, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte limit", length, maxFrame)
+	}
+	if pre[5]|pre[6]|pre[7] != 0 {
+		return 0, 0, fmt.Errorf("serve: frame prelude reserved bytes %x are not zero", pre[5:8])
 	}
 	return pre[4], int(length), nil
 }
@@ -387,7 +392,7 @@ func encodeRepair(seq uint64, round int, chunks []repairChunk) []byte {
 }
 
 // decodeRepair parses a repair frame; the returned chunk data slices alias
-// buf, so the caller must consume them before recycling the frame buffer.
+// buf, so the caller must consume them before reusing the buffer.
 func decodeRepair(buf []byte) (seq uint64, round int, chunks []repairChunk, err error) {
 	if len(buf) < 16 {
 		return 0, 0, nil, fmt.Errorf("serve: repair payload is %d bytes, want >= 16", len(buf))

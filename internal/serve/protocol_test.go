@@ -126,17 +126,17 @@ func TestDecodeRepairBoundsChunkCount(t *testing.T) {
 
 func TestReadPreludeEnforcesLimit(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, fSubmit, make([]byte, 100)); err != nil {
+	if err := writeFrame(&buf, fChunk, make([]byte, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := readPrelude(&buf, 50); err == nil {
+	if _, _, err := readPrelude(&buf, make([]byte, framePrelude), 50); err == nil {
 		t.Fatal("oversized frame passed the prelude limit")
 	}
 	buf.Reset()
 	if err := writeFrame(&buf, fGoodbye, nil); err != nil {
 		t.Fatal(err)
 	}
-	ftype, n, err := readPrelude(&buf, 50)
+	ftype, n, err := readPrelude(&buf, make([]byte, framePrelude), 50)
 	if err != nil || ftype != fGoodbye || n != 0 {
 		t.Fatalf("empty frame prelude: got (%d, %d, %v)", ftype, n, err)
 	}

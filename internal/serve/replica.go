@@ -30,31 +30,17 @@ type job struct {
 
 // ingest is one CPI admitted into a replica: a leased gate slot plus the
 // stream publication feeding the pipeline's slab for that internal
-// sequence number. Exactly one of commit/commitPayload/abort must follow.
+// sequence number. Exactly one of commit/abort must follow.
 type ingest struct {
 	r   *replica
 	pub *pipexec.CubePublisher
 	seq uint64 // internal pipeline sequence number
 }
 
-// commit finishes a chunk-streamed publication (every chunk landed clean)
-// and hands the decoded cube to the pipeline.
+// commit finishes a publication (every chunk landed clean) and hands the
+// decoded cube to the pipeline.
 func (in *ingest) commit() error {
 	err := in.pub.Commit()
-	in.r.gate.release()
-	if err != nil {
-		in.r.take(in.seq)
-		return err
-	}
-	in.r.dispatched.Add(1)
-	return nil
-}
-
-// commitPayload decodes a fully-assembled (already chunk-verified) frame
-// payload into the slab with the source's decode pool and commits it — the
-// framed-submit path through the same publication machinery.
-func (in *ingest) commitPayload(h cube.Header, payload []byte) error {
-	err := in.pub.CommitPayload(h, payload)
 	in.r.gate.release()
 	if err != nil {
 		in.r.take(in.seq)
@@ -133,7 +119,7 @@ func (g *ingestGate) release() {
 }
 
 // openTimeout bounds how long an open waits for a gate slot before the
-// server answers CodeOverloaded; parked repairs can hold slots across
+// server answers CodeOverloaded; CPIs awaiting repair hold slots across
 // client round trips, so this is minutes of margin, not milliseconds.
 const openTimeout = 5 * time.Second
 
@@ -187,7 +173,7 @@ func startReplica(ctx context.Context, id int, cfg pipexec.Config, src *pipexec.
 // open admits one CPI: it claims a gate slot, assigns the next internal
 // sequence number, registers the job, and opens the stream publication the
 // connection will feed chunks into. On success exactly one of
-// ingest.commit/commitPayload/abort must follow.
+// ingest.commit/abort must follow.
 func (r *replica) open(j job, h cube.Header) (*ingest, error) {
 	if !r.gate.acquire(r.ctx, openTimeout) {
 		return nil, ErrOverloaded

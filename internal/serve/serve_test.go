@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -384,28 +385,38 @@ func TestServeRepairsCorruptFramesWithoutDropping(t *testing.T) {
 		injected, st.RepairedFrames, st.ChunkResends, st.ChunkResendBytes)
 }
 
+// TestServeRejectsUnrepairableFlatFrame: a retired flat (v1/v2) frame has
+// no chunk table, so nothing in it could be verified or repaired chunk by
+// chunk. The format itself rejects it with the typed ErrVersion, and the
+// client refuses to submit it before writing a byte, leaving the
+// connection fit for the next CPI.
 func TestServeRejectsUnrepairableFlatFrame(t *testing.T) {
 	s := radar.SmallTestScenario()
 	srv := startServer(t, testServerConfig())
 	cl := dialTest(t, srv, Options{})
 
-	cb, err := s.Generate(0)
+	frames, err := radar.EncodeCPIs(s, 1, testChunkSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A flat (v2) frame has no chunk table, so corruption is terminal.
-	frame := make([]byte, cube.FileBytes(s.Dims))
-	cube.Encode(cb, 0, frame)
-	frame[len(frame)-1] ^= 0xff
-	if _, err := cl.Submit(frame); err != nil {
+	for _, v := range []uint32{1, 2} {
+		flat := append([]byte(nil), frames[0]...)
+		binary.LittleEndian.PutUint32(flat[4:8], v)
+		if _, err := cube.DecodeHeader(flat[:cube.HeaderSize]); !errors.Is(err, cube.ErrVersion) {
+			t.Errorf("v%d header: got %v, want cube.ErrVersion", v, err)
+		}
+		if _, err := cl.Submit(flat); !errors.Is(err, cube.ErrVersion) {
+			t.Errorf("v%d submit: got %v, want cube.ErrVersion", v, err)
+		}
+	}
+	if _, err := cl.Submit(frames[0]); err != nil {
 		t.Fatal(err)
 	}
-	r := <-cl.Results()
-	if !errors.Is(r.Err, ErrCorrupt) {
-		t.Fatalf("corrupt flat frame: got %v, want ErrCorrupt", r.Err)
+	if r := <-cl.Results(); r.Err != nil || r.Seq != 0 {
+		t.Fatalf("chunked CPI after refused flat frames: seq %d err %v", r.Seq, r.Err)
 	}
-	if st := srv.Stats(); st.Rejected["corrupt"] != 1 {
-		t.Errorf("corrupt reject count = %d, want 1", st.Rejected["corrupt"])
+	if st := srv.Stats(); st.Accepted != 1 || st.Rejected["other"] != 0 || st.Rejected["corrupt"] != 0 {
+		t.Errorf("server saw the refused frames: accepted %d, rejected %v", st.Accepted, st.Rejected)
 	}
 }
 
@@ -429,7 +440,7 @@ func rawHandshake(t *testing.T, srv *Server) net.Conn {
 	if err := writeFrame(c, fHello, encodeHello(srv.cfg.Params.Dims)); err != nil {
 		t.Fatal(err)
 	}
-	ftype, n, err := readPrelude(c, DefaultMaxFrameBytes)
+	ftype, n, err := readPrelude(c, make([]byte, framePrelude), DefaultMaxFrameBytes)
 	if err != nil || ftype != fHelloAck {
 		t.Fatalf("handshake: type %d, err %v", ftype, err)
 	}
@@ -439,11 +450,33 @@ func rawHandshake(t *testing.T, srv *Server) net.Conn {
 	return c
 }
 
+// writeSubmit streams frame over c the way Client.Submit does: header and
+// chunk table, then every chunk, then the end marker.
+func writeSubmit(t *testing.T, c net.Conn, frame []byte) {
+	t.Helper()
+	h, err := cube.ParseHeader(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := frame[h.PayloadOffset():]
+	frames := []frameSpans{{ftype: fSubmitHdr, spans: [][]byte{frame[:h.PayloadOffset()]}}}
+	for i := 0; i < h.Chunks(); i++ {
+		prefix := make([]byte, chunkPrefixLen)
+		putChunkPrefix(prefix, h.Seq, i)
+		lo, hi := h.ChunkSpan(i)
+		frames = append(frames, frameSpans{ftype: fChunk, spans: [][]byte{prefix, payload[lo:hi]}})
+	}
+	frames = append(frames, frameSpans{ftype: fSubmitEnd, spans: [][]byte{encodeSubmitEnd(h.Seq)}})
+	if err := writeFrames(c, frames); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // readFrame reads one whole frame under a deadline.
 func readFrame(t *testing.T, c net.Conn) (byte, []byte) {
 	t.Helper()
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	ftype, n, err := readPrelude(c, DefaultMaxFrameBytes)
+	ftype, n, err := readPrelude(c, make([]byte, framePrelude), DefaultMaxFrameBytes)
 	if err != nil {
 		t.Fatalf("read frame: %v", err)
 	}
@@ -457,11 +490,11 @@ func readFrame(t *testing.T, c net.Conn) (byte, []byte) {
 func TestServeDropsMalformedStream(t *testing.T) {
 	srv := startServer(t, testServerConfig())
 
-	// A structurally invalid submit earns a typed seq-0 reject and then the
+	// An unparseable submit header earns a typed seq-0 reject and then the
 	// connection closes: the framing can no longer be trusted, and dropping
 	// the connection resolves the producer's pending CPIs promptly.
 	c := rawHandshake(t, srv)
-	if err := writeFrame(c, fSubmit, []byte("not a cube")); err != nil {
+	if err := writeFrame(c, fSubmitHdr, []byte("not a cube")); err != nil {
 		t.Fatal(err)
 	}
 	ftype, buf := readFrame(t, c)
@@ -511,12 +544,10 @@ func TestServeRepairRoundIsServerTracked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt one chunk so the submit parks for repair.
+	// Corrupt one chunk so the submit waits for repair.
 	lo, hi := h.ChunkSpan(0)
 	frame[h.PayloadOffset()+lo] ^= 0x40
-	if err := writeFrame(c, fSubmit, frame); err != nil {
-		t.Fatal(err)
-	}
+	writeSubmit(t, c, frame)
 	ftype, buf := readFrame(t, c)
 	if ftype != fRepairReq {
 		t.Fatalf("corrupt submit answered with type %d, want repair-req", ftype)
@@ -565,7 +596,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 }
 
 // TestShutdownCountsAbandonedCPIsOnce pins the drain accounting fix: a CPI
-// parked for repair when the drain deadline expires is counted orphaned
+// awaiting repair when the drain deadline expires is counted orphaned
 // exactly once, and in_flight settles at zero rather than going negative.
 func TestShutdownCountsAbandonedCPIsOnce(t *testing.T) {
 	s := radar.SmallTestScenario()
@@ -589,18 +620,16 @@ func TestShutdownCountsAbandonedCPIsOnce(t *testing.T) {
 	}
 	lo, _ := h.ChunkSpan(0)
 	frame[h.PayloadOffset()+lo] ^= 0x40
-	if err := writeFrame(c, fSubmit, frame); err != nil {
-		t.Fatal(err)
-	}
+	writeSubmit(t, c, frame)
 	if ftype, _ := readFrame(t, c); ftype != fRepairReq {
 		t.Fatalf("corrupt submit answered with type %d, want repair-req", ftype)
 	}
-	// Never answer the repair request: the CPI stays parked, holding its
+	// Never answer the repair request: the CPI stays open, holding its
 	// admission token, and an already-expired drain deadline abandons it.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := srv.Shutdown(ctx); err == nil {
-		t.Fatal("shutdown with a parked CPI and an expired deadline reported a clean drain")
+		t.Fatal("shutdown with a CPI awaiting repair and an expired deadline reported a clean drain")
 	}
 	st := srv.Stats()
 	if st.Orphaned != 1 {

@@ -137,7 +137,7 @@ type Server struct {
 	budget *membudget.Budget
 
 	// tokens is the admission semaphore: one token per in-flight CPI,
-	// acquired at submit acceptance (including CPIs parked awaiting
+	// acquired when its submit header is admitted (including CPIs awaiting
 	// repair) and released when the CPI is answered.
 	tokens      chan struct{}
 	outstanding atomic.Int64
@@ -147,8 +147,6 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[*serverConn]struct{}
 
-	bufs sync.Pool // *frameBuf
-
 	stats counters
 	start time.Time
 
@@ -156,10 +154,6 @@ type Server struct {
 	stopOnce sync.Once
 	stopErr  error
 }
-
-// frameBuf wraps a pooled frame buffer (pooling the wrapper avoids boxing
-// a fresh interface value per Put, same trick as pipexec's readBuf).
-type frameBuf struct{ b []byte }
 
 // New validates the configuration and builds a server (not yet listening).
 func New(cfg Config) (*Server, error) {
@@ -242,9 +236,7 @@ func (s *Server) acceptLoop() {
 		}
 		s.stats.connsTotal.Add(1)
 		s.stats.connsActive.Add(1)
-		sc := &serverConn{srv: s, c: c,
-			pending: make(map[uint64]*pendingRepair),
-			streams: make(map[uint64]*streamIngest)}
+		sc := &serverConn{srv: s, c: c, streams: make(map[uint64]*streamIngest)}
 		s.connMu.Lock()
 		s.conns[sc] = struct{}{}
 		s.connMu.Unlock()
@@ -276,20 +268,6 @@ func (s *Server) release() {
 	s.outstanding.Add(-1)
 	s.tokens <- struct{}{}
 }
-
-// getBuf leases a frame buffer with capacity for n bytes.
-func (s *Server) getBuf(n int) *frameBuf {
-	if v := s.bufs.Get(); v != nil {
-		fb := v.(*frameBuf)
-		if cap(fb.b) >= n {
-			fb.b = fb.b[:n]
-			return fb
-		}
-	}
-	return &frameBuf{b: make([]byte, n)}
-}
-
-func (s *Server) putBuf(fb *frameBuf) { s.bufs.Put(fb) }
 
 // openIngest admits one CPI onto a replica, round-robin: the replica
 // claims an ingest slot, registers the job, and opens the publication the
@@ -345,9 +323,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		// Count abandoned jobs only now: the replicas and connection readers
 		// have stopped, so nothing can still answer (or double-count) a CPI.
-		// Jobs that completed during the stop were routed normally, and
-		// parked repairs were released and counted by their reader's unwind;
-		// whatever is still outstanding is exactly the abandoned set, and
+		// Jobs that completed during the stop were routed normally, and CPIs
+		// still streaming or awaiting repair were released and counted by
+		// their reader's unwind; whatever is still outstanding is exactly the abandoned set, and
 		// no longer in flight.
 		if n := s.outstanding.Swap(0); n > 0 {
 			s.stats.orphaned.Add(n)
@@ -420,10 +398,6 @@ type serverConn struct {
 	wmu    sync.Mutex
 	closed atomic.Bool
 
-	// pending holds CPIs parked mid-repair, keyed by producer seq. Only
-	// the connection's reader goroutine touches it.
-	pending map[uint64]*pendingRepair
-
 	// streams holds chunk-streamed CPIs currently being published into a
 	// replica (header seen, end-of-submit or repair outstanding), keyed by
 	// producer seq. Only the reader goroutine touches it.
@@ -435,16 +409,6 @@ type serverConn struct {
 type streamIngest struct {
 	in    *ingest
 	h     cube.Header
-	round int
-	t0    time.Time
-}
-
-// pendingRepair is a submitted CPI whose payload had corrupt chunks; the
-// frame buffer is retained while re-requested chunks arrive.
-type pendingRepair struct {
-	buf   *frameBuf
-	h     cube.Header
-	bad   []int
 	round int
 	t0    time.Time
 }
@@ -495,23 +459,18 @@ func (sc *serverConn) reject(seq uint64, code uint32, msg string) {
 }
 
 // readLoop is the connection's reader goroutine: handshake, then frames
-// until the peer hangs up or the server shuts down.
+// until the peer hangs up or the server shuts down. No handler keeps a
+// frame after it returns, so every frame is read into one buffer that
+// grows to the largest frame seen.
 func (sc *serverConn) readLoop() {
 	defer sc.srv.wg.Done()
 	defer sc.srv.dropConn(sc)
 	defer sc.close()
-	// CPIs parked mid-repair when the producer disappears hold admission
-	// tokens and frame buffers; hand both back. Chunk-streamed CPIs left
-	// open hold admission tokens, ingest slots, and leased cube slabs:
-	// aborting the publication recycles the slab and makes the replica
-	// skip the internal seq, so a producer dying mid-cube leaks nothing.
+	// CPIs left open when the producer disappears hold admission tokens,
+	// ingest slots, and leased cube slabs: aborting the publication
+	// recycles the slab and makes the replica skip the internal seq, so a
+	// producer dying mid-cube leaks nothing.
 	defer func() {
-		for seq, p := range sc.pending {
-			delete(sc.pending, seq)
-			sc.srv.putBuf(p.buf)
-			sc.srv.release()
-			sc.srv.stats.orphaned.Add(1)
-		}
 		for seq, st := range sc.streams {
 			delete(sc.streams, seq)
 			st.in.abort(ErrClosed)
@@ -523,49 +482,34 @@ func (sc *serverConn) readLoop() {
 	if err := sc.handshake(); err != nil {
 		return
 	}
+	var pre [framePrelude]byte
+	var buf []byte
 	for {
-		ftype, n, err := readPrelude(sc.c, sc.srv.cfg.maxFrame())
+		ftype, n, err := readPrelude(sc.c, pre[:], sc.srv.cfg.maxFrame())
 		if err != nil {
 			return
 		}
-		fb := sc.srv.getBuf(n)
-		if _, err := io.ReadFull(sc.c, fb.b); err != nil {
-			sc.srv.putBuf(fb)
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
+		if _, err := io.ReadFull(sc.c, buf); err != nil {
 			return
 		}
+		var ok bool
 		switch ftype {
-		case fSubmit:
-			if !sc.handleSubmit(fb) { // takes ownership of fb
-				return
-			}
 		case fSubmitHdr:
-			ok := sc.handleSubmitHdr(fb.b)
-			sc.srv.putBuf(fb)
-			if !ok {
-				return
-			}
+			ok = sc.handleSubmitHdr(buf)
 		case fChunk:
-			ok := sc.handleChunk(fb.b)
-			sc.srv.putBuf(fb)
-			if !ok {
-				return
-			}
+			ok = sc.handleChunk(buf)
 		case fSubmitEnd:
-			ok := sc.handleSubmitEnd(fb.b)
-			sc.srv.putBuf(fb)
-			if !ok {
-				return
-			}
+			ok = sc.handleSubmitEnd(buf)
 		case fRepair:
-			ok := sc.handleRepair(fb.b)
-			sc.srv.putBuf(fb)
-			if !ok {
-				return
-			}
-		default:
-			// An unknown frame type means the stream is not speaking our
-			// protocol; drop the connection rather than guess.
-			sc.srv.putBuf(fb)
+			ok = sc.handleRepair(buf)
+		}
+		// An unknown frame type means the stream is not speaking our
+		// protocol; drop the connection rather than guess.
+		if !ok {
 			return
 		}
 	}
@@ -575,7 +519,8 @@ func (sc *serverConn) readLoop() {
 func (sc *serverConn) handshake() error {
 	sc.c.SetReadDeadline(time.Now().Add(sc.srv.cfg.helloTimeout()))
 	defer sc.c.SetReadDeadline(time.Time{})
-	ftype, n, err := readPrelude(sc.c, sc.srv.cfg.maxFrame())
+	var pre [framePrelude]byte
+	ftype, n, err := readPrelude(sc.c, pre[:], sc.srv.cfg.maxFrame())
 	if err != nil || ftype != fHello || n != helloLen {
 		return errors.New("serve: handshake failed")
 	}
@@ -595,125 +540,20 @@ func (sc *serverConn) handshake() error {
 	return sc.send(fHelloAck, encodeHelloAck(sc.srv.cfg.maxInFlight()))
 }
 
-// handleSubmit admits, verifies, and dispatches one submitted CPI. It owns
-// fb and must hand it back on every path that does not park it for repair.
-// Reports false when the connection must be torn down.
-func (sc *serverConn) handleSubmit(fb *frameBuf) bool {
-	srv := sc.srv
-	t0 := time.Now()
-	h, err := cube.ParseHeader(fb.b)
-	if err != nil {
-		srv.putBuf(fb)
-		// A submit whose cube header does not parse means the stream framing
-		// can no longer be trusted. The reject carries seq 0 (the header may
-		// not have yielded a real one), which the producer cannot correlate
-		// with a pending CPI — so drop the connection too, failing all its
-		// pending CPIs promptly instead of leaving them to dangle.
-		sc.reject(0, CodeBadFrame, err.Error())
-		return false
-	}
-	seq := h.Seq
-	if h.Dims != srv.cfg.Params.Dims {
-		srv.putBuf(fb)
-		sc.reject(seq, CodeBadDims,
-			fmt.Sprintf("service processes %v, cube is %v", srv.cfg.Params.Dims, h.Dims))
-		return true
-	}
-	if want := h.PayloadOffset() + h.Bytes(); int64(len(fb.b)) != want {
-		srv.putBuf(fb)
-		sc.reject(seq, CodeBadFrame,
-			fmt.Sprintf("frame is %d bytes, cube header wants %d", len(fb.b), want))
-		return true
-	}
-	if srv.draining.Load() {
-		srv.putBuf(fb)
-		sc.reject(seq, CodeDraining, "server is draining")
-		return true
-	}
-	if !srv.tryAcquire() {
-		srv.putBuf(fb)
-		sc.reject(seq, CodeOverloaded,
-			fmt.Sprintf("all %d in-flight slots busy", srv.cfg.maxInFlight()))
-		return true
-	}
-	// Token held from here on; every exit must answer the CPI and release.
-	payload := fb.b[h.PayloadOffset():]
-	if h.Chunks() > 0 {
-		bad, _ := cube.VerifyChunks(&h, payload, 0, h.Chunks(), nil) // length pre-checked
-		if len(bad) > 0 {
-			sc.parkForRepair(fb, h, bad, t0)
-			return true
-		}
-	} else if err := cube.VerifyPayload(h, payload); err != nil {
-		// Flat (v2) payloads carry no chunk table, so there is nothing to
-		// re-request — corrupt means rejected, exactly like the file path's
-		// whole-file fallback.
-		srv.putBuf(fb)
-		sc.reject(seq, CodeCorrupt, err.Error())
-		srv.release()
-		return true
-	}
-	sc.acceptAndDispatch(fb, h, t0, false)
-	return true
-}
-
-// parkForRepair stores the frame and asks the producer to re-send the
-// corrupt chunks.
-func (sc *serverConn) parkForRepair(fb *frameBuf, h cube.Header, bad []int, t0 time.Time) {
-	srv := sc.srv
-	if old, ok := sc.pending[h.Seq]; ok {
-		// A duplicate in-flight seq would make repair routing ambiguous.
-		srv.putBuf(old.buf)
-		srv.release()
-		srv.stats.orphaned.Add(1)
-		delete(sc.pending, h.Seq)
-	}
-	sc.pending[h.Seq] = &pendingRepair{buf: fb, h: h, bad: bad, t0: t0}
-	srv.stats.repairReqs.Add(1)
-	sc.send(fRepairReq, encodeRepairReq(h.Seq, 0, bad))
-}
-
-// acceptAndDispatch opens a replica publication for a fully-assembled,
-// chunk-verified frame, decodes the payload into the replica's pooled slab
-// (sharded across the source's live decode workers), and acknowledges the
-// CPI. Consumes fb.
-func (sc *serverConn) acceptAndDispatch(fb *frameBuf, h cube.Header, t0 time.Time, repaired bool) {
-	srv := sc.srv
-	payload := fb.b[h.PayloadOffset():]
-	in, err := srv.openIngest(job{conn: sc, seq: h.Seq, t0: t0}, h)
-	if err == nil {
-		err = in.commitPayload(h, payload)
-	}
-	srv.putBuf(fb)
-	if err != nil {
-		// Open/commit fail when a replica is stopping underneath us (a
-		// drain race) or its ingest gate stayed saturated; answer the CPI
-		// and settle its token either way.
-		if errors.Is(err, ErrOverloaded) {
-			sc.reject(h.Seq, CodeOverloaded, "replica ingest saturated")
-		} else {
-			sc.reject(h.Seq, CodeDraining, "server is draining")
-		}
-		srv.release()
-		return
-	}
-	if repaired {
-		srv.stats.repairedFrames.Add(1)
-	}
-	srv.stats.accepted.Add(1)
-	sc.send(fAccept, encodeAccept(h.Seq))
-}
-
-// handleSubmitHdr opens a chunk-streamed CPI: it validates the header +
-// chunk table, admits the CPI, and opens a replica publication the
-// following fChunk frames decode straight into. Reports false when the
-// connection must be torn down.
+// handleSubmitHdr opens a CPI: it validates the header + chunk table,
+// admits the CPI, and opens a replica publication the following fChunk
+// frames decode straight into. Reports false when the connection must be
+// torn down.
 func (sc *serverConn) handleSubmitHdr(buf []byte) bool {
 	srv := sc.srv
 	t0 := time.Now()
 	h, err := cube.ParseHeader(buf)
 	if err != nil {
-		// Same framing-trust failure as an unparseable submit.
+		// A header that does not parse means the stream framing can no
+		// longer be trusted. The reject carries seq 0 (the header may not
+		// have yielded a real one), which the producer cannot correlate
+		// with a pending CPI — so drop the connection too, failing all its
+		// pending CPIs promptly instead of leaving them to dangle.
 		sc.reject(0, CodeBadFrame, err.Error())
 		return false
 	}
@@ -723,10 +563,6 @@ func (sc *serverConn) handleSubmitHdr(buf []byte) bool {
 			fmt.Sprintf("submit header frame is %d bytes, header+chunk table is %d", len(buf), h.PayloadOffset()))
 		return true
 	}
-	if h.Chunks() < 1 {
-		sc.reject(seq, CodeBadFrame, "streaming submit requires a chunked (v3) cube")
-		return true
-	}
 	if h.Dims != srv.cfg.Params.Dims {
 		sc.reject(seq, CodeBadDims,
 			fmt.Sprintf("service processes %v, cube is %v", srv.cfg.Params.Dims, h.Dims))
@@ -734,7 +570,7 @@ func (sc *serverConn) handleSubmitHdr(buf []byte) bool {
 	}
 	if old, ok := sc.streams[seq]; ok {
 		// A duplicate in-flight seq would make chunk routing ambiguous; the
-		// old publication is dropped (mirrors parkForRepair's rule).
+		// old publication is dropped.
 		delete(sc.streams, seq)
 		old.in.abort(ErrClosed)
 		srv.release()
@@ -764,11 +600,11 @@ func (sc *serverConn) handleSubmitHdr(buf []byte) bool {
 	return true
 }
 
-// handleChunk feeds one streamed chunk to its publication: the bytes are
-// CRC-checked and decoded into the replica's slab directly from the pooled
-// read buffer — the chunk is never copied into a file image. Chunks for
-// sequence numbers we do not hold (rejected or aborted headers racing the
-// producer's pipelined writes) are discarded.
+// handleChunk feeds one chunk to its publication: the bytes are
+// CRC-checked and decoded into the replica's slab directly from the
+// connection's read buffer — the chunk is never copied into a file image.
+// Chunks for sequence numbers we do not hold (rejected or aborted headers
+// racing the producer's pipelined writes) are discarded.
 func (sc *serverConn) handleChunk(buf []byte) bool {
 	seq, idx, err := decodeChunkPrefix(buf)
 	if err != nil {
@@ -787,9 +623,9 @@ func (sc *serverConn) handleChunk(buf []byte) bool {
 	return true
 }
 
-// handleSubmitEnd closes a streamed CPI: all chunks landed clean means
-// commit + accept; otherwise the missing set is re-requested through the
-// standard repair exchange.
+// handleSubmitEnd closes a CPI's chunk stream: all chunks landed clean
+// means commit + accept; otherwise the missing set is re-requested
+// through the repair exchange.
 func (sc *serverConn) handleSubmitEnd(buf []byte) bool {
 	srv := sc.srv
 	seq, err := decodeSubmitEnd(buf)
@@ -810,7 +646,7 @@ func (sc *serverConn) handleSubmitEnd(buf []byte) bool {
 	return true
 }
 
-// finishStream commits a fully-landed streamed CPI and answers it.
+// finishStream commits a fully-landed CPI and answers it.
 func (sc *serverConn) finishStream(seq uint64, st *streamIngest) {
 	srv := sc.srv
 	delete(sc.streams, seq)
@@ -824,23 +660,32 @@ func (sc *serverConn) finishStream(seq uint64, st *streamIngest) {
 	if repaired {
 		srv.stats.repairedFrames.Add(1)
 	}
-	srv.stats.streamedCPIs.Add(1)
 	srv.stats.accepted.Add(1)
 	sc.send(fAccept, encodeAccept(seq))
 }
 
-// handleStreamRepair patches re-sent chunks into an open streamed
-// publication — the streaming mirror of handleRepair, sharing its round
-// rules.
-func (sc *serverConn) handleStreamRepair(seq uint64, round int, chunks []repairChunk) bool {
+// handleRepair patches re-sent chunks into an open publication and
+// either commits the CPI, asks for another round, or gives up. Reports
+// false when the connection must be torn down.
+func (sc *serverConn) handleRepair(buf []byte) bool {
 	srv := sc.srv
+	seq, round, chunks, err := decodeRepair(buf)
+	if err != nil {
+		// Same trust failure as an unparseable header: the reject can only
+		// carry seq 0, so drop the connection to resolve pending CPIs.
+		sc.reject(0, CodeBadFrame, err.Error())
+		return false
+	}
 	st, ok := sc.streams[seq]
 	if !ok {
 		// Repair for a CPI we no longer hold; ignorable.
 		return true
 	}
 	if round != st.round {
-		// Same anti-pinning rule as framed repairs (see handleRepair).
+		// The round field is an echo of the server's outstanding request,
+		// not client state. Trusting it would let a peer that always echoes
+		// round 0 pin the round below the budget forever, holding the CPI
+		// (and its admission token and slab) indefinitely.
 		delete(sc.streams, seq)
 		st.in.abort(ErrCorrupt)
 		sc.reject(seq, CodeBadFrame,
@@ -877,75 +722,5 @@ func (sc *serverConn) handleStreamRepair(seq uint64, round int, chunks []repairC
 	}
 	srv.stats.repairReqs.Add(1)
 	sc.send(fRepairReq, encodeRepairReq(seq, st.round, missing))
-	return true
-}
-
-// handleRepair patches re-sent chunk bytes into a parked CPI and either
-// dispatches it clean, asks for another round, or gives up. Reports false
-// when the connection must be torn down.
-func (sc *serverConn) handleRepair(buf []byte) bool {
-	srv := sc.srv
-	seq, round, chunks, err := decodeRepair(buf)
-	if err != nil {
-		// Same trust failure as an unparseable submit: the reject can only
-		// carry seq 0, so drop the connection to resolve pending CPIs.
-		sc.reject(0, CodeBadFrame, err.Error())
-		return false
-	}
-	p, ok := sc.pending[seq]
-	if !ok {
-		// Not parked as a framed repair — maybe an open streamed CPI.
-		return sc.handleStreamRepair(seq, round, chunks)
-	}
-	if round != p.round {
-		// The round field is an echo of the server's outstanding request,
-		// not client state. Trusting it would let a peer that always echoes
-		// round 0 pin p.round below the budget forever, parking the CPI (and
-		// its admission token and frame buffer) indefinitely.
-		delete(sc.pending, seq)
-		srv.putBuf(p.buf)
-		sc.reject(seq, CodeBadFrame,
-			fmt.Sprintf("repair echoes round %d, server requested round %d", round, p.round))
-		srv.release()
-		return true
-	}
-	h := &p.h
-	payload := p.buf.b[h.PayloadOffset():]
-	for _, c := range chunks {
-		if c.index < 0 || c.index >= h.Chunks() {
-			continue
-		}
-		lo, hi := h.ChunkSpan(c.index)
-		if int64(len(c.data)) != hi-lo {
-			continue
-		}
-		srv.stats.chunkResends.Add(1)
-		srv.stats.chunkResendBytes.Add(hi - lo)
-		copy(payload[lo:hi], c.data)
-	}
-	// Re-verify only the chunks that were bad; good ones cannot regress.
-	remaining := p.bad[:0]
-	for _, i := range p.bad {
-		if cube.VerifyChunk(h, payload, i) != nil {
-			remaining = append(remaining, i)
-		}
-	}
-	p.bad = remaining
-	if len(p.bad) == 0 {
-		delete(sc.pending, seq)
-		sc.acceptAndDispatch(p.buf, p.h, p.t0, true)
-		return true
-	}
-	p.round++
-	if p.round >= srv.cfg.repairRounds() {
-		delete(sc.pending, seq)
-		srv.putBuf(p.buf)
-		sc.reject(seq, CodeCorrupt,
-			fmt.Sprintf("%d chunks still corrupt after %d repair rounds", len(p.bad), p.round))
-		srv.release()
-		return true
-	}
-	srv.stats.repairReqs.Add(1)
-	sc.send(fRepairReq, encodeRepairReq(seq, p.round, p.bad))
 	return true
 }

@@ -28,15 +28,13 @@ type counters struct {
 	chunkResends     atomic.Int64
 	chunkResendBytes atomic.Int64
 
-	streamedCPIs   atomic.Int64
 	streamedChunks atomic.Int64
 	streamMaxFrame atomic.Int64
 }
 
-// noteStreamFrame records a streaming-ingest frame's payload size; the
-// running maximum is the observable proof that the streamed path never
-// materialises a whole-cube file image (it stays at one chunk + prefix, vs
-// the full encoded cube a framed submit buffers).
+// noteStreamFrame records an ingest frame's payload size; the running
+// maximum is the observable proof that ingest never materialises a
+// whole-cube file image (it stays at one chunk + prefix).
 func (c *counters) noteStreamFrame(n int) {
 	for {
 		cur := c.streamMaxFrame.Load()
@@ -101,11 +99,9 @@ type Stats struct {
 	ChunkResends     int64 `json:"chunk_resends"`
 	ChunkResendBytes int64 `json:"chunk_resend_bytes"`
 
-	// StreamedCPIs counts CPIs accepted through chunk-streamed ingest,
-	// StreamedChunks their chunk frames, and StreamMaxFrameBytes the
-	// largest streaming-ingest frame payload seen — bounded by one chunk
-	// plus its 16-byte prefix, never a whole cube image.
-	StreamedCPIs        int64 `json:"streamed_cpis"`
+	// StreamedChunks counts ingested chunk frames and StreamMaxFrameBytes
+	// the largest ingest frame payload seen — bounded by one chunk plus its
+	// 16-byte prefix, never a whole cube image.
 	StreamedChunks      int64 `json:"streamed_chunks"`
 	StreamMaxFrameBytes int64 `json:"stream_max_frame_bytes"`
 
@@ -135,7 +131,6 @@ func (s *Server) Stats() Stats {
 		RepairedFrames:      s.stats.repairedFrames.Load(),
 		ChunkResends:        s.stats.chunkResends.Load(),
 		ChunkResendBytes:    s.stats.chunkResendBytes.Load(),
-		StreamedCPIs:        s.stats.streamedCPIs.Load(),
 		StreamedChunks:      s.stats.streamedChunks.Load(),
 		StreamMaxFrameBytes: s.stats.streamMaxFrame.Load(),
 	}

@@ -45,8 +45,8 @@ func TestStreamingIngestMatchesReferenceWithoutFileImage(t *testing.T) {
 	}
 
 	st := srv.Stats()
-	if st.StreamedCPIs != n {
-		t.Errorf("streamed_cpis = %d, want %d", st.StreamedCPIs, n)
+	if st.Accepted != n {
+		t.Errorf("accepted = %d, want %d", st.Accepted, n)
 	}
 	if wantChunks := int64(n * h.Chunks()); st.StreamedChunks != wantChunks {
 		t.Errorf("streamed_chunks = %d, want %d", st.StreamedChunks, wantChunks)

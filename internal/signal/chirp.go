@@ -56,11 +56,17 @@ func MatchedFilter(p []complex128) []complex128 {
 // with d/lambda = 1/2.
 func SteeringVector(n int, u float64) []complex128 {
 	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
+	SteeringVectorInto(out, u)
+	return out
+}
+
+// SteeringVectorInto writes the len(out)-element SteeringVector for angle
+// u into out.
+func SteeringVectorInto(out []complex128, u float64) {
+	for k := range out {
 		phase := math.Pi * float64(k) * u
 		out[k] = cmplx.Exp(complex(0, phase))
 	}
-	return out
 }
 
 // DopplerSteeringVector returns the temporal steering vector of n pulses

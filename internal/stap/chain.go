@@ -66,8 +66,8 @@ func NewProcessor(p Params) (*Processor, error) {
 	if pr.hardSolver, err = NewWeightSolver(q, pr.hardBins, true); err != nil {
 		return nil, err
 	}
-	pr.prevEasyW = InitialWeights(q, pr.easyBins)
-	pr.prevHardW = InitialWeights(q, pr.hardBins)
+	pr.prevEasyW = pr.easySolver.InitialWeights()
+	pr.prevHardW = pr.hardSolver.InitialWeights()
 	pr.nextEasyW = pr.easySolver.NewWeightSet()
 	pr.nextHardW = pr.hardSolver.NewWeightSet()
 	return pr, nil

@@ -225,21 +225,33 @@ func (p *Params) DoF(d int) int {
 // phase-advanced by k PRIs of the bin's Doppler (the target phase
 // progression between staggered sub-CPIs).
 func (p *Params) Steering(u float64, d int) []complex128 {
-	s := signal.SteeringVector(p.Dims.Channels, u)
-	if !p.IsHard(d) {
-		return s
-	}
-	k := p.StaggerCount()
-	out := make([]complex128, k*len(s))
-	rot := cmplx.Exp(complex(0, 2*math.Pi*p.BinDoppler(d)))
-	phase := complex(1, 0)
-	for st := 0; st < k; st++ {
-		for i, v := range s {
-			out[st*len(s)+i] = v * phase
-		}
-		phase *= rot
-	}
+	out := make([]complex128, p.DoF(d))
+	p.SteeringInto(out, u, d)
 	return out
+}
+
+// SteeringInto writes Steering(u, d) into dst, which must hold DoF(d)
+// elements.
+func (p *Params) SteeringInto(dst []complex128, u float64, d int) {
+	n := p.Dims.Channels
+	signal.SteeringVectorInto(dst[:n], u)
+	if !p.IsHard(d) {
+		return
+	}
+	// Stagger st is the spatial vector in dst[:n] times rot^st. Filling
+	// from the last stagger down reads dst[:n] before stagger 0 overwrites
+	// it; each phase is built by the same st multiplications as ever, so
+	// the vector is bit-identical.
+	rot := cmplx.Exp(complex(0, 2*math.Pi*p.BinDoppler(d)))
+	for st := p.StaggerCount() - 1; st >= 0; st-- {
+		phase := complex(1, 0)
+		for j := 0; j < st; j++ {
+			phase *= rot
+		}
+		for i := 0; i < n; i++ {
+			dst[st*n+i] = dst[i] * phase
+		}
+	}
 }
 
 // Replica returns the matched-filter kernel used by pulse compression.

@@ -250,18 +250,22 @@ func (s *CovarianceSmoother) Update(est []*linalg.Matrix) []*linalg.Matrix {
 
 // InitialWeights returns non-adaptive (conventional beamformer) weights for
 // the listed bins: w = t / (t^H t). The pipeline uses them for the first
-// CPI, before any previous-CPI training data exists.
+// CPI, before any previous-CPI training data exists; the pipelines build
+// them from their WeightSolver's steering table (WeightSolver.Conventional).
 func InitialWeights(p *Params, bins []int) *WeightSet {
 	ws := NewWeightSet(p, bins)
 	for i, d := range bins {
 		for b, u := range p.Beams {
-			conventional(ws.W[i][b], p.Steering(u, d))
+			w := ws.W[i][b]
+			p.SteeringInto(w, u, d)
+			conventional(w, w)
 		}
 	}
 	return ws
 }
 
-// conventional writes the unit-gain conventional weights t / (t^H t).
+// conventional writes the unit-gain conventional weights t / (t^H t); w
+// may alias t.
 func conventional(w, t []complex128) {
 	g := linalg.Dot(t, t)
 	for k := range t {

@@ -43,9 +43,10 @@ func (ws *WeightSet) CopyFrom(src *WeightSet) {
 // WeightSolver is the allocation-free form of the weight-computation
 // tasks (1 and 2) for one bin set. Built once per bin set, it owns
 //
-//   - the steering vector of every (bin, beam), filled by Params.Steering
-//     into one slab — constants of Params, computed once instead of once
-//     per CPI;
+//   - the steering vector of every (bin, beam), filled in place by
+//     Params.SteeringInto into one slab — constants of Params, computed
+//     once per bin set instead of once per CPI, and shared with the
+//     conventional weights of Conventional;
 //   - one covariance matrix per bin, refilled in place by Estimate;
 //   - per-worker scratch: a packing panel for Estimate and a factor
 //     matrix plus solve vector for Solve.
@@ -95,7 +96,7 @@ func NewWeightSolver(p *Params, bins []int, hard bool) (*WeightSolver, error) {
 		s.steer[i] = make([][]complex128, len(p.Beams))
 		for b, u := range p.Beams {
 			s.steer[i][b], slab = slab[:dof:dof], slab[dof:]
-			copy(s.steer[i][b], p.Steering(u, d))
+			p.SteeringInto(s.steer[i][b], u, d)
 		}
 		s.covs[i] = linalg.NewMatrix(dof, dof)
 	}
@@ -120,6 +121,24 @@ func (s *WeightSolver) Grow(workers int) {
 
 // NewWeightSet allocates a weight set shaped for the solver's bins.
 func (s *WeightSolver) NewWeightSet() *WeightSet { return NewWeightSet(s.p, s.bins) }
+
+// Conventional writes the non-adaptive weights InitialWeights computes
+// into ws (shaped for the solver's bins) from the cached steering table.
+func (s *WeightSolver) Conventional(ws *WeightSet) {
+	for i := range s.bins {
+		for b, t := range s.steer[i] {
+			conventional(ws.W[i][b], t)
+		}
+	}
+}
+
+// InitialWeights allocates a set holding the solver's Conventional
+// weights.
+func (s *WeightSolver) InitialWeights() *WeightSet {
+	ws := s.NewWeightSet()
+	s.Conventional(ws)
+	return ws
+}
 
 // Covariances returns the per-bin estimates Estimate fills, aliasing the
 // solver's state: the next Estimate overwrites them.

@@ -2,11 +2,14 @@ package stap
 
 import (
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"stapio/internal/cube"
 	"stapio/internal/linalg"
+	"stapio/internal/signal"
 )
 
 // refEstimateCovariances and refSolveWeights are the weight path as it
@@ -160,6 +163,63 @@ func TestWeightSolverMatchesReference(t *testing.T) {
 							if init.W[i][b][j] != tv[j]/g {
 								t.Fatalf("%s: InitialWeights bin %d beam %d differs from t/(t^H t)", name, d, b)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// refSteering is Params.Steering as it stood before the in-place fill: a
+// fresh spatial vector, then each stagger written as that vector times a
+// phase advanced by one rot per stagger.
+func refSteering(p *Params, u float64, d int) []complex128 {
+	s := signal.SteeringVector(p.Dims.Channels, u)
+	if !p.IsHard(d) {
+		return s
+	}
+	k := p.StaggerCount()
+	out := make([]complex128, k*len(s))
+	rot := cmplx.Exp(complex(0, 2*math.Pi*p.BinDoppler(d)))
+	phase := complex(1, 0)
+	for st := 0; st < k; st++ {
+		for i, v := range s {
+			out[st*len(s)+i] = v * phase
+		}
+		phase *= rot
+	}
+	return out
+}
+
+// TestSteeringTableMatchesReference pins the steering vectors the solver's
+// table and InitialWeights now fill in place to the allocating reference
+// bit for bit, and the solver's conventional weights to InitialWeights.
+func TestSteeringTableMatchesReference(t *testing.T) {
+	for _, dims := range equivGeometries {
+		p := equivParams(dims)
+		for _, hard := range []bool{false, true} {
+			bins := p.EasyBins()
+			if hard {
+				bins = p.HardBins()
+			}
+			s, err := NewWeightSolver(&p, bins, hard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			init, conv := InitialWeights(&p, bins), s.InitialWeights()
+			for i, d := range bins {
+				for b, u := range p.Beams {
+					want, got := refSteering(&p, u, d), p.Steering(u, d)
+					if len(got) != len(want) {
+						t.Fatalf("%v bin %d: steering has %d elements, want %d", dims, d, len(got), len(want))
+					}
+					for j, v := range want {
+						if s.steer[i][b][j] != v || got[j] != v {
+							t.Fatalf("%v bin %d beam %d element %d: steering differs from the reference", dims, d, b, j)
+						}
+						if conv.W[i][b][j] != init.W[i][b][j] {
+							t.Fatalf("%v bin %d beam %d element %d: conventional weights differ from InitialWeights", dims, d, b, j)
 						}
 					}
 				}

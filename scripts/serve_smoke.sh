@@ -1,10 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test for the network detection service: build the
 # daemon and the load generator, start the daemon on an ephemeral
-# loopback port, push 50 CPIs through it closed-loop, then 50 more over
-# streaming ingest with Poisson arrivals, require zero dropped CPIs in
-# both legs (staploadgen exits non-zero on any drop), and verify the
-# daemon shuts down cleanly on SIGTERM.
+# loopback port, push 50 CPIs through it closed-loop, then 50 more with
+# Poisson arrivals, require zero dropped CPIs in both legs (staploadgen
+# exits non-zero on any drop), and verify the daemon shuts down cleanly on
+# SIGTERM. Every CPI crosses the wire chunk by chunk.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,16 +37,11 @@ grep -q '"dropped": 0' "$workdir/bench.json" || {
     exit 1
 }
 
-# Streaming-ingest leg: the same 50 CPIs cross the wire as chunk frames
-# (no file image server-side) under open-loop Poisson arrivals.
-"$workdir/staploadgen" -addr "$addr" -scenario small -n 50 -stream \
-    -arrivals poisson -rate 200 -seed 1 -json "$workdir/bench_stream.json"
-grep -q '"dropped": 0' "$workdir/bench_stream.json" || {
-    echo "serve_smoke: streaming BENCH json does not record zero drops" >&2
-    exit 1
-}
-grep -q '"streaming": true' "$workdir/bench_stream.json" || {
-    echo "serve_smoke: streaming leg did not take the streaming path" >&2
+# Open-loop leg: the same 50 CPIs under Poisson arrivals.
+"$workdir/staploadgen" -addr "$addr" -scenario small -n 50 \
+    -arrivals poisson -rate 200 -seed 1 -json "$workdir/bench_poisson.json"
+grep -q '"dropped": 0' "$workdir/bench_poisson.json" || {
+    echo "serve_smoke: Poisson BENCH json does not record zero drops" >&2
     exit 1
 }
 
@@ -65,4 +60,4 @@ wait "$server_pid" 2>/dev/null || {
     exit 1
 }
 server_pid=
-echo "serve_smoke: ok (50 framed + 50 streamed CPIs, zero dropped, clean shutdown)"
+echo "serve_smoke: ok (50 closed-loop + 50 Poisson CPIs, zero dropped, clean shutdown)"
