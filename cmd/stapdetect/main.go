@@ -62,7 +62,6 @@ func main() {
 		stream   = flag.Bool("stream", false, "feed the pipeline through the streaming CubeSource (pooled slabs, credit-windowed producer) instead of per-CPI generation")
 		rdAhead  = flag.Int("readahead", 1, "readahead depth: striped reads kept in flight beyond the CPI being consumed")
 		decodeW  = flag.Int("decodeworkers", 1, "goroutines sharding each cube's checksum verify and decode")
-		maxRA    = flag.Int("maxreadahead", 0, "cap on autotuned readahead depth (0 = default 32)")
 		memBud   = flag.String("membudget", "", `hard byte budget for cube + intermediate residency, e.g. "256M" or "1G" (empty = unlimited; residency is still tracked). With -data, cold prefetched cubes spill to the striped store under pressure`)
 		band     = flag.Int("band", 0, "out-of-core banded execution: stream each CPI through range-bin bands of this many bins, peak residency O(band) instead of O(cube) (0 = full-cube pipeline)")
 		traceOut = flag.String("tunetrace", "", "write the auto-tuner's full decision log (no-op windows included) as JSON to this file")
@@ -141,7 +140,6 @@ func main() {
 		Retry:         pipexec.RetryPolicy{MaxAttempts: *retries},
 		ReadAhead:     *rdAhead,
 		DecodeWorkers: *decodeW,
-		MaxReadAhead:  *maxRA,
 	}
 	if *autotune {
 		cfg.AutoTune = &tune.Config{Budget: *budget}
@@ -230,7 +228,7 @@ func main() {
 	fmt.Printf("processed %d CPIs in %v — throughput %.2f CPIs/s, mean latency %v\n",
 		len(res.CPIs), res.Elapsed.Round(1e6), res.Throughput, res.MeanLatency().Round(1e6))
 	st := res.Stats
-	if *faults != "" || st.Retries+st.Drops+st.ChecksumFailures+st.DeadlineHits+st.WeightFallbacks+st.ChunkRereads > 0 {
+	if *faults != "" || st.Retries+st.Drops+st.ChecksumFailures+st.WeightFallbacks+st.ChunkRereads > 0 {
 		fmt.Printf("resilience: %v\n", st)
 		if len(st.DroppedSeqs) > 0 {
 			fmt.Printf("  dropped CPIs: %v\n", st.DroppedSeqs)

@@ -4,7 +4,7 @@
 // throughput and the submit-to-result latency percentiles.
 //
 //	staploadgen -addr 127.0.0.1:7420 -n 500
-//	staploadgen -addr 127.0.0.1:7420 -n 500 -window 4 -json BENCH_4.json
+//	staploadgen -addr 127.0.0.1:7420 -n 500 -window 4 -json runs.json
 //	staploadgen -addr 127.0.0.1:7420 -faults corrupt=0.1,seed=7
 //	staploadgen -addr 127.0.0.1:7420 -chunkpace 200us
 //	staploadgen -addr 127.0.0.1:7420 -arrivals poisson -rate 400 -n 2000
@@ -220,8 +220,9 @@ type Run struct {
 	OfferedRate float64 `json:"offered_rate_cpi_per_s,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
 	Throughput  float64 `json:"throughput_cpi_per_s"`
-	// Steady is the BENCH_3-comparable steady-state rate: results-per-second
-	// between the first and last result arrival, excluding connect/ramp.
+	// Steady is the steady-state rate: results-per-second between the
+	// first and last result arrival, excluding connect/ramp (the same
+	// window as pipexec.Result.SteadyThroughput).
 	Steady float64 `json:"steady_cpi_per_s"`
 	// PhaseK splits the run into phases of K results; SteadyFirst/SteadyLast
 	// are the arrival rates over the first and last K. Against an autotuned
@@ -287,7 +288,7 @@ func (o genOptions) schedule() []time.Duration {
 }
 
 // driveDirect replays the frames against one server over a plain
-// serve.Client — the original BENCH_4-comparable path.
+// serve.Client — the single-server path.
 func driveDirect(addr string, s *radar.Scenario, plan *pfs.FaultPlan, frames [][]byte, opts genOptions) (*Run, error) {
 	n := opts.n
 	cl, err := serve.Dial(addr, serve.Options{

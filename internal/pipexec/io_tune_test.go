@@ -40,7 +40,15 @@ func slowStore(t *testing.T, s *radar.Scenario, delay time.Duration) (*pfs.RealF
 // byte-identical to an untuned run off the same store.
 func TestAutoTuneGrowsReadaheadOnSlowStore(t *testing.T) {
 	s := radar.SmallTestScenario()
-	_, src := slowStore(t, s, 3*time.Millisecond)
+	// The store must stay the bottleneck, or the tuner rightly hands the
+	// window's slots back to compute. Race instrumentation inflates
+	// Doppler's per-CPI compute several-fold (~8ms on a 2-vCPU host), past
+	// a 3ms read, so the race build gets a store slower than that.
+	delay := 3 * time.Millisecond
+	if raceEnabled {
+		delay = 30 * time.Millisecond
+	}
+	_, src := slowStore(t, s, delay)
 	cfg := testConfig()
 	cfg.SeparateIO = true
 	cfg.ReadAhead = 1
@@ -84,7 +92,7 @@ func TestAutoTuneGrowsReadaheadOnSlowStore(t *testing.T) {
 		t.Errorf("slow store never triggered an I/O rebalance; trace: %+v", res.Stats.TuneDecisions)
 	}
 	if res.Stats.FinalReadAhead <= 1 {
-		t.Errorf("tuner left the readahead window at %d against a 3ms store", res.Stats.FinalReadAhead)
+		t.Errorf("tuner left the readahead window at %d against a %v store", res.Stats.FinalReadAhead, delay)
 	}
 
 	// The budget is conserved across compute and I/O slots.

@@ -213,7 +213,7 @@ func TestSpillUnderBackpressure(t *testing.T) {
 	budgetBytes := 6*cubeB + dopB + beamB
 	cfg.MemBudget = membudget.New("test", budgetBytes)
 	cfg.ReadAhead = 8
-	cfg.StageLoad = StageLoad{CFAR: 100 * time.Microsecond}
+	cfg.testLoad = stageLoad{CFAR: 100 * time.Microsecond}
 	fs, err := pfs.CreateReal(t.TempDir(), 2, 4096, true)
 	if err != nil {
 		t.Fatal(err)

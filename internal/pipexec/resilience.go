@@ -10,9 +10,9 @@ import (
 
 // Resilience: the paper's system assumes every striped read succeeds; a
 // production pipeline cannot. This file defines the knobs — a retry policy
-// for striped reads, a per-stage deadline, and a degradation policy for
-// reads that stay failed — and the counters a run reports so degraded
-// stripe servers are measured, not guessed at.
+// for striped reads and a degradation policy for reads that stay failed —
+// and the counters a run reports so degraded stripe servers are measured,
+// not guessed at.
 
 // RetryPolicy bounds the re-reads of one CPI's staging file. The zero
 // value means defaults: 3 attempts, 2ms base backoff doubling to 100ms.
@@ -109,10 +109,6 @@ type RunStats struct {
 	// ChecksumFailures counts reads whose payload failed the cube CRC
 	// (each one also triggers a retry).
 	ChecksumFailures int64
-	// DeadlineHits counts per-CPI stage services that exceeded
-	// Config.StageTimeout (read waits are aborted and retried; compute
-	// stages cannot be preempted, so theirs are recorded for monitoring).
-	DeadlineHits int64
 	// WeightFallbacks counts CPIs beamformed with stale weights under
 	// DegradeLastGoodWeights.
 	WeightFallbacks int64
@@ -176,8 +172,8 @@ type RunStats struct {
 
 // String summarises the counters.
 func (s RunStats) String() string {
-	return fmt.Sprintf("retries=%d drops=%d checksum-failures=%d deadline-hits=%d weight-fallbacks=%d chunk-rereads=%d repaired-reads=%d",
-		s.Retries, s.Drops, s.ChecksumFailures, s.DeadlineHits, s.WeightFallbacks, s.ChunkRereads, s.RepairedReads)
+	return fmt.Sprintf("retries=%d drops=%d checksum-failures=%d weight-fallbacks=%d chunk-rereads=%d repaired-reads=%d",
+		s.Retries, s.Drops, s.ChecksumFailures, s.WeightFallbacks, s.ChunkRereads, s.RepairedReads)
 }
 
 // IOSnapshot is a live view of the pipeline's I/O frontend — the knob
@@ -243,7 +239,6 @@ type runStats struct {
 	retries          atomic.Int64
 	drops            atomic.Int64
 	checksumFailures atomic.Int64
-	deadlineHits     atomic.Int64
 	weightFallbacks  atomic.Int64
 	sourceStalls     atomic.Int64
 	sourceStallNS    atomic.Int64
@@ -263,7 +258,6 @@ func (s *runStats) snapshot(dropped []uint64) RunStats {
 		Drops:            s.drops.Load(),
 		DroppedSeqs:      dropped,
 		ChecksumFailures: s.checksumFailures.Load(),
-		DeadlineHits:     s.deadlineHits.Load(),
 		WeightFallbacks:  s.weightFallbacks.Load(),
 		SourceStalls:     s.sourceStalls.Load(),
 		SourceStall:      time.Duration(s.sourceStallNS.Load()),

@@ -45,10 +45,6 @@ type Config struct {
 	// is exhausted. The default, DegradeFailFast, aborts the run (the
 	// pre-resilience behaviour).
 	Degrade DegradePolicy
-	// StageTimeout, when positive, is the per-CPI deadline of each stage:
-	// a read wait that exceeds it is abandoned and retried, and compute
-	// services that exceed it are counted in RunStats.DeadlineHits.
-	StageTimeout time.Duration
 	// ReadAhead is the readahead depth: how many striped reads the read
 	// stage keeps in flight beyond the CPI currently being consumed.
 	// Values < 1 mean 1, the classic one-deep prefetch (double
@@ -59,11 +55,6 @@ type Config struct {
 	// across this many goroutines when the source has a frontend
 	// (CubeSource.Frontend). Values < 1 mean 1, the serial behaviour.
 	DecodeWorkers int
-	// MaxReadAhead caps how deep the auto-tuner may grow the readahead
-	// window (values < 1 mean the default, 32). It also clamps live
-	// depth stores from the test seam; the configured ReadAhead itself is
-	// not clamped.
-	MaxReadAhead int
 	// AutoTune, when non-nil, enables the online worker rebalancer: a
 	// tune.Controller watches the live per-stage busy counters and swaps
 	// the per-stage worker counts between CPIs to equalise busy/workers
@@ -77,10 +68,6 @@ type Config struct {
 	// depth (see DESIGN.md §12). Decisions are traced in
 	// RunStats.TuneDecisions.
 	AutoTune *tune.Config
-	// StageLoad injects synthetic per-item service time into the compute
-	// stages (see StageLoad) — a workload-shaping knob for benchmarks and
-	// tuner tests. The zero value injects nothing.
-	StageLoad StageLoad
 	// MemBudget, when non-nil, charges every large per-CPI slab — input
 	// cube, Doppler cube, beam cube — against a hierarchical byte budget:
 	// reads and compute admissions block (deadlock-free, oldest CPI
@@ -106,6 +93,10 @@ type Config struct {
 	// per-stage worker counts — the seam rebalance-determinism tests use
 	// to exercise arbitrary swap schedules.
 	testOnCPI func(cpi int, set func(stage, workers int))
+	// testLoad (tests only) injects synthetic per-item service time into
+	// the compute stages (see stageLoad) — the workload shaping tuner
+	// tests use to skew the per-stage loads.
+	testLoad stageLoad
 }
 
 // Validate checks the configuration.
@@ -162,7 +153,7 @@ type Result struct {
 	// Stages holds per-stage busy-time statistics in pipeline order.
 	Stages []StageStat
 	// Stats holds the resilience counters: retries, drops, checksum
-	// failures, deadline hits, weight fallbacks.
+	// failures, weight fallbacks.
 	Stats RunStats
 }
 
@@ -651,46 +642,23 @@ func parallel(w, n int, fn func(widx int, blk cube.Block) error) error {
 	return nil
 }
 
-// addBusy records one CPI's processing time on the stage clock and checks
-// it against the optional per-stage deadline. A compute stage cannot be
-// preempted mid-CPI, so an overrun is counted for monitoring rather than
-// aborted (read waits, which can be abandoned, are bounded in waitCube).
-func (r *runner) addBusy(clk *stageClock, d time.Duration) {
-	clk.add(d)
-	if r.cfg.StageTimeout > 0 && d > r.cfg.StageTimeout {
-		r.stats.deadlineHits.Add(1)
-	}
-}
-
-// errReadDeadline marks a read wait abandoned at the stage deadline.
-var errReadDeadline = errors.New("pipexec: read wait exceeded the stage deadline")
-
 type cubeResult struct {
 	cb  *cube.Cube
 	err error
 }
 
-// waitCube blocks for an in-flight read, bounding the wait by the stage
-// deadline (when configured) and by run cancellation. An abandoned wait's
-// goroutine drains itself once the underlying read completes.
+// waitCube blocks for an in-flight read, bounding the wait by run
+// cancellation. An abandoned wait's goroutine drains itself once the
+// underlying read completes.
 func (r *runner) waitCube(p PendingCube) (*cube.Cube, error) {
 	ch := make(chan cubeResult, 1)
 	go func() {
 		cb, err := p.Wait()
 		ch <- cubeResult{cb, err}
 	}()
-	var deadline <-chan time.Time
-	if r.cfg.StageTimeout > 0 {
-		t := time.NewTimer(r.cfg.StageTimeout)
-		defer t.Stop()
-		deadline = t.C
-	}
 	select {
 	case res := <-ch:
 		return res.cb, res.err
-	case <-deadline:
-		r.stats.deadlineHits.Add(1)
-		return nil, errReadDeadline
 	case <-r.ctx.Done():
 		return nil, r.ctx.Err()
 	}
@@ -836,23 +804,14 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 	return nil
 }
 
-// maxReadAhead is the cap on live readahead depth (Config.MaxReadAhead;
-// < 1 means the default).
-func (r *runner) maxReadAhead() int {
-	if r.cfg.MaxReadAhead < 1 {
-		return defaultMaxReadAhead
-	}
-	return r.cfg.MaxReadAhead
-}
-
 // liveReadAhead loads the current readahead depth, clamped to [1, cap].
 func (r *runner) liveReadAhead() int {
 	d := int(r.raDepth.Load())
 	if d < 1 {
 		return 1
 	}
-	if max := r.maxReadAhead(); d > max && d > r.cfg.ReadAhead {
-		return max
+	if d > maxReadAhead && d > r.cfg.ReadAhead {
+		return maxReadAhead
 	}
 	return d
 }
@@ -899,7 +858,7 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 			if err := stap.DopplerFilterRanges(r.p, msg.cb, blk, h.dc, scratches[widx]); err != nil {
 				return err
 			}
-			r.stageSleep(r.cfg.StageLoad.Doppler, blk.Len())
+			r.stageSleep(r.cfg.testLoad.Doppler, blk.Len())
 			return nil
 		})
 		if err != nil {
@@ -907,7 +866,7 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 		}
 		r.recycleCube(msg.cb)
 		r.releaseCubeCharge(msg.seq)
-		r.addBusy(clk, time.Since(t0))
+		clk.add(time.Since(t0))
 		out := dopplerMsg{seq: msg.seq, h: h, bc: r.pools.getBeam(msg.seq), start: msg.start}
 		for _, ch := range []chan<- dopplerMsg{weOut, whOut, bfeOut, bfhOut} {
 			if !send(r, ch, out) {
@@ -960,7 +919,7 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 		if r.pools.releaseDoppler(msg.h) {
 			r.releaseMem(r.dopB)
 		}
-		r.addBusy(clk, time.Since(t0))
+		clk.add(time.Since(t0))
 		if !send(r, out, ws) {
 			return nil
 		}
@@ -970,9 +929,9 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 // solveWeightSet estimates covariances and solves the adaptive weights for
 // one CPI's bin set into ws.
 func (r *runner) solveWeightSet(s *stap.WeightSolver, smoother *stap.CovarianceSmoother, msg dopplerMsg, ws *stap.WeightSet, hard bool, workers int) error {
-	load := r.cfg.StageLoad.EasyWeight
+	load := r.cfg.testLoad.EasyWeight
 	if hard {
-		load = r.cfg.StageLoad.HardWeight
+		load = r.cfg.testLoad.HardWeight
 	}
 	n := len(s.Bins())
 	err := parallel(workers, n, func(widx int, blk cube.Block) error {
@@ -1006,9 +965,9 @@ func setName(hard bool) string {
 // first CPI beamforms with the conventional weights of the bin set's
 // solver.
 func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, pool *weightPool, solver *stap.WeightSolver, slot int) error {
-	load := r.cfg.StageLoad.EasyBF
+	load := r.cfg.testLoad.EasyBF
 	if slot == tsHardBF {
-		load = r.cfg.StageLoad.HardBF
+		load = r.cfg.testLoad.HardBF
 	}
 	bins := pool.bins
 	cur := pool.get()
@@ -1050,7 +1009,7 @@ func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *
 		if r.pools.releaseDoppler(msg.h) {
 			r.releaseMem(r.dopB)
 		}
-		r.addBusy(clk, time.Since(t0))
+		clk.add(time.Since(t0))
 		if !send(r, out, beamMsg{seq: msg.seq, bc: msg.bc, start: msg.start}) {
 			return nil
 		}
@@ -1101,7 +1060,7 @@ func (r *runner) pcStage(clk *stageClock, in <-chan beamMsg, out chan<- beamMsg)
 			if err := stap.Compress(r.p, msg.bc, comps[widx], pairs[blk.Lo:blk.Hi]); err != nil {
 				return err
 			}
-			r.stageSleep(r.cfg.StageLoad.PulseComp, blk.Len())
+			r.stageSleep(r.cfg.testLoad.PulseComp, blk.Len())
 			return nil
 		})
 		if err != nil {
@@ -1112,11 +1071,11 @@ func (r *runner) pcStage(clk *stageClock, in <-chan beamMsg, out chan<- beamMsg)
 			if err := r.runCFAR(msg, cfar, workers); err != nil {
 				return err
 			}
-			r.addBusy(clk, time.Since(t0))
+			clk.add(time.Since(t0))
 			r.afterCPI()
 			continue
 		}
-		r.addBusy(clk, time.Since(t0))
+		clk.add(time.Since(t0))
 		if !send(r, out, msg) {
 			return nil
 		}
@@ -1177,7 +1136,7 @@ func (r *runner) cfarStage(clk *stageClock, in <-chan beamMsg) error {
 		if err := r.runCFAR(msg, st, workers); err != nil {
 			return err
 		}
-		r.addBusy(clk, time.Since(t0))
+		clk.add(time.Since(t0))
 		r.afterCPI()
 	}
 }
@@ -1191,7 +1150,7 @@ func (r *runner) runCFAR(msg beamMsg, st *cfarState, workers int) error {
 				return err
 			}
 			st.partial[w] = dets
-			r.stageSleep(r.cfg.StageLoad.CFAR, blk.Len())
+			r.stageSleep(r.cfg.testLoad.CFAR, blk.Len())
 		}
 		return nil
 	})

@@ -109,8 +109,8 @@ type frontend struct {
 	// Stream sources decode in their producers and only report it.
 	decodeW atomic.Int32
 	// clks holds the frontend clocks behind an atomic pointer: fetch
-	// goroutines may outlive the run that armed them (abandoned deadline
-	// waits), so they must never race a clock swap from the next run.
+	// goroutines may outlive the run that armed them (waits abandoned at
+	// cancellation), so they must never race a clock swap from the next run.
 	clks atomic.Pointer[srcClocks]
 
 	chunkRereads     atomic.Int64

@@ -15,7 +15,8 @@ import (
 var ErrStreamClosed = errors.New("pipexec: stream source closed")
 
 // errCubeConsumed surfaces on the rare second Wait racing the first for the
-// same delivered cube (an abandoned deadline wait that completed anyway).
+// same delivered cube (a wait abandoned at cancellation that completed
+// anyway).
 var errCubeConsumed = errors.New("pipexec: streamed cube already consumed")
 
 // StreamSource is the streaming CubeSource: a rendezvous between live cube

@@ -64,13 +64,13 @@ func TestParallelEdgeCases(t *testing.T) {
 	}
 }
 
-// testLoad skews the hard-weight stage hard enough that the balanced split
-// must move workers there, while keeping the test fast. The injected load
-// must dominate the stages' real compute (Doppler's FFTs are the largest)
-// with margin: measured service times on a contended CI core are noisy,
-// and the tuner's ranking has to survive that noise.
-func testLoad() StageLoad {
-	return StageLoad{
+// hardWeightLoad skews the hard-weight stage hard enough that the balanced
+// split must move workers there, while keeping the test fast. The injected
+// load must dominate the stages' real compute (Doppler's FFTs are the
+// largest) with margin: measured service times on a contended CI core are
+// noisy, and the tuner's ranking has to survive that noise.
+func hardWeightLoad() stageLoad {
+	return stageLoad{
 		Doppler:    20 * time.Microsecond,
 		HardWeight: 2 * time.Millisecond,
 		PulseComp:  2 * time.Microsecond,
@@ -84,7 +84,7 @@ func TestAutoTuneMatchesReference(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
 	cfg.AutoTune = &tune.Config{Interval: 2, Warmup: 2, Hysteresis: -1}
-	cfg.StageLoad = testLoad()
+	cfg.testLoad = hardWeightLoad()
 	const n = 24
 	want := referenceDetections(t, cfg.Params, s, n)
 	res, err := Run(context.Background(), cfg, ScenarioSource(s), n)
@@ -114,51 +114,71 @@ func TestAutoTuneMatchesReference(t *testing.T) {
 }
 
 func TestAutoTuneConvergesOnSkew(t *testing.T) {
-	// From a cold even split the tuner must shift workers toward the
-	// loaded hard-weight stage while conserving the budget. The pipeline
-	// streams until that shift shows in the live worker counts — the
-	// event — rather than asserting on whatever split a fixed CPI count
-	// ends on, which a loaded or race-instrumented host can stretch.
-	s := radar.SmallTestScenario()
-	cfg := testConfig()
-	cfg.AutoTune = &tune.Config{Budget: 14, Interval: 2, Warmup: 2, Hysteresis: -1}
-	cfg.StageLoad = testLoad()
-	h, err := Stream(context.Background(), cfg, ScenarioSource(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Slot 2 is the hard-weight stage (dominant injected load); the even
-	// split gives it 2.
-	const maxCPIs = 500
-	shiftedAt := -1
-	for k := 1; k <= maxCPIs && shiftedAt < 0; k++ {
-		if _, ok := <-h.Results; !ok {
-			break
-		}
-		if h.r.wcs[tsHardWeight].Load() > 2 {
-			shiftedAt = k
-		}
-	}
-	res, err := h.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shiftedAt < 0 {
-		t.Fatalf("hard weight never gained a worker over %d CPIs; decisions %v", maxCPIs, res.Stats.TuneDecisions)
-	}
-	final := res.Stats.TuneFinalSplit
-	if len(final) != 7 {
-		t.Fatalf("final split %v, want 7 stages", final)
-	}
-	sum := 0
-	for i, w := range final {
-		sum += w
-		if w < 1 {
-			t.Errorf("stage %s ended with %d workers", res.Stats.TuneStages[i], w)
-		}
-	}
-	if sum != 14 {
-		t.Errorf("final split %v spends %d workers, budget 14", final, sum)
+	// From a cold even split (two workers per task out of 14) the tuner
+	// must shift workers toward the dominant stage while conserving the
+	// budget. The pipeline streams until that shift shows in the live
+	// worker counts — the event — rather than asserting on whatever split
+	// a fixed CPI count ends on, which a loaded or race-instrumented host
+	// can stretch.
+	for _, tc := range []struct {
+		name    string
+		combine bool
+		load    stageLoad
+		slot    int // the dominant tuner slot
+		slots   int // tuner slots in the design
+		cold    int // the dominant slot's workers in the even split
+	}{
+		{name: "hardweights", load: hardWeightLoad(), slot: tsHardWeight, slots: 7, cold: 2},
+		// Combined PC+CFAR design: the merged stage carries ~16ms of
+		// injected work per CPI, several times Doppler's real compute even
+		// under race instrumentation, and starts with both tasks' workers.
+		{name: "pccfar", combine: true, load: stageLoad{
+			PulseComp: 200 * time.Microsecond,
+			CFAR:      150 * time.Microsecond,
+		}, slot: tsPulseComp, slots: 6, cold: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := radar.SmallTestScenario()
+			cfg := testConfig()
+			cfg.CombinePCCFAR = tc.combine
+			cfg.AutoTune = &tune.Config{Budget: 14, Interval: 2, Warmup: 2, Hysteresis: -1}
+			cfg.testLoad = tc.load
+			h, err := Stream(context.Background(), cfg, ScenarioSource(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			const maxCPIs = 500
+			shiftedAt := -1
+			for k := 1; k <= maxCPIs && shiftedAt < 0; k++ {
+				if _, ok := <-h.Results; !ok {
+					break
+				}
+				if int(h.r.wcs[tc.slot].Load()) > tc.cold {
+					shiftedAt = k
+				}
+			}
+			res, err := h.Stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shiftedAt < 0 {
+				t.Fatalf("slot %d never gained a worker over %d CPIs; decisions %v", tc.slot, maxCPIs, res.Stats.TuneDecisions)
+			}
+			final := res.Stats.TuneFinalSplit
+			if len(final) != tc.slots {
+				t.Fatalf("final split %v, want %d stages", final, tc.slots)
+			}
+			sum := 0
+			for i, w := range final {
+				sum += w
+				if w < 1 {
+					t.Errorf("stage %s ended with %d workers", res.Stats.TuneStages[i], w)
+				}
+			}
+			if sum != 14 {
+				t.Errorf("final split %v spends %d workers, budget 14", final, sum)
+			}
+		})
 	}
 }
 

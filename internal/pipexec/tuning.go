@@ -33,29 +33,23 @@ const (
 	numTunable
 )
 
-// StageLoad injects a synthetic per-item service time into each compute
-// stage: every worker sleeps items x duration after processing its block,
-// so a stage's wall time scales as items/workers exactly like the paper's
-// W_i/P_i. Sleeping occupies a worker slot without burning CPU, which
-// models blocking (I/O- or memory-wait-bound) stage time and — crucially
-// for benchmarks — makes worker-split effects measurable on hosts with few
-// cores, where pure-compute splits all serialise onto the same CPUs.
-// Detections are unaffected: injection delays stages, it never touches
-// data. The zero value injects nothing.
-type StageLoad struct {
+// stageLoad injects a synthetic per-item service time into each compute
+// stage (tests only, via Config.testLoad): every worker sleeps items x
+// duration after processing its block, so a stage's wall time scales as
+// items/workers exactly like the paper's W_i/P_i. Sleeping occupies a
+// worker slot without burning CPU, which makes worker-split effects
+// measurable on hosts with few cores, where pure-compute splits all
+// serialise onto the same CPUs. Detections are unaffected: injection
+// delays stages, it never touches data. The zero value injects nothing.
+type stageLoad struct {
 	// Per-item injected service times: Doppler per range gate, the weight
 	// and beamforming stages per Doppler bin of their bin set, pulse
 	// compression and CFAR per (beam, bin) pair.
 	Doppler, EasyWeight, HardWeight, EasyBF, HardBF, PulseComp, CFAR time.Duration
 }
 
-func (l StageLoad) any() bool {
-	return l.Doppler > 0 || l.EasyWeight > 0 || l.HardWeight > 0 ||
-		l.EasyBF > 0 || l.HardBF > 0 || l.PulseComp > 0 || l.CFAR > 0
-}
-
 // stageSleep blocks one worker for items x perItem of injected service
-// time (see StageLoad), honouring run cancellation.
+// time (see stageLoad), honouring run cancellation.
 func (r *runner) stageSleep(perItem time.Duration, items int) {
 	if perItem <= 0 || items <= 0 {
 		return
@@ -63,9 +57,10 @@ func (r *runner) stageSleep(perItem time.Duration, items int) {
 	r.sleep(time.Duration(items) * perItem)
 }
 
-// defaultMaxReadAhead caps tuner-grown readahead depth when
-// Config.MaxReadAhead is unset.
-const defaultMaxReadAhead = 32
+// maxReadAhead caps tuner-grown readahead depth (a memory budget may cap
+// it lower, see initTuning). It also clamps live depth stores from the
+// test seam; the configured ReadAhead itself is not clamped.
+const maxReadAhead = 32
 
 // maxDecodeWorkers caps the tunable decode pool — decode shards per cube,
 // so counts beyond this see no useful parallelism on any plausible host.
@@ -157,7 +152,7 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 		// admissible readahead slot, so offering the tuner deeper windows
 		// (or more decoders than admissible cubes) only wastes its probes
 		// on budget-stalled configurations.
-		maxRA := r.maxReadAhead()
+		maxRA := maxReadAhead
 		if lim := r.budget.PathLimit(); lim > 0 && r.cubeB > 0 {
 			if cap := int((lim-MinResidency(r.p))/r.cubeB) + 1; cap < maxRA {
 				maxRA = cap

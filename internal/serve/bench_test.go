@@ -17,8 +17,9 @@ import (
 // BenchmarkServeLoopback measures the sustained end-to-end CPI rate of the
 // detection service over loopback TCP: one closed-loop producer replaying
 // pre-encoded small-scenario cubes against an in-process server. This is
-// the networked counterpart of BenchmarkRealPipelineReadahead — the
-// difference between the two is the cost of the wire.
+// the networked counterpart of the in-process pipeline rate — the
+// difference between the two is the cost of the wire (the ledger's
+// serve.over_inproc_ratio row).
 func BenchmarkServeLoopback(b *testing.B) {
 	s := radar.SmallTestScenario()
 	cfg := testServerConfig()
@@ -186,8 +187,8 @@ func BenchmarkServeStreamLoopback(b *testing.B) {
 	b.ReportMetric(rate, "CPIs/s")
 }
 
-// BenchmarkServeStreamAutotune is the slow-producer streaming scenario
-// behind BENCH_7.json: several paced producers stream cubes chunk-by-chunk
+// BenchmarkServeStreamAutotune is the slow-producer streaming scenario:
+// several paced producers stream cubes chunk-by-chunk
 // into one autotuned replica that starts cold at ingest depth 1. The
 // producers connect over synchronous in-process pipes (see pipeListener),
 // so ChunkPace is wire time the server actually experiences — kernel

@@ -247,7 +247,6 @@ func replicaConfig(cfg Config) pipexec.Config {
 		Workers:       cfg.Workers,
 		CombinePCCFAR: cfg.CombinePCCFAR,
 		Buffer:        cfg.Buffer,
-		StageLoad:     cfg.StageLoad,
 		// Each replica gets its own controller instance (tune.Controller
 		// is single-run state), so a replica pool converges per replica
 		// against its own measured load.

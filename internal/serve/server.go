@@ -37,10 +37,6 @@ type Config struct {
 	// ingest depth (concurrent uploads) and decode workers rebalance live
 	// against the compute stages.
 	AutoTune *tune.Config
-	// StageLoad injects synthetic per-item service time into each
-	// replica's compute stages (see pipexec.StageLoad) — benchmark and
-	// test ballast, zero value for production.
-	StageLoad pipexec.StageLoad
 	// Replicas is the number of pipeline replicas CPIs are dispatched
 	// across (values < 1 mean 1). Each replica is an independent
 	// pipexec.Stream with its own weight-feedback chain.

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-commit gate: vet, staticcheck (when installed), build, and the
-# race-instrumented test suite. Mirrors .github/workflows/ci.yml.
+# Pre-commit gate: vet, staticcheck (when installed), build, the
+# race-instrumented test suite, the nested bench module, the smokes and the
+# ledger correctness smoke. Mirrors .github/workflows/ci.yml.
 set -eux
 cd "$(dirname "$0")/.."
 go vet ./...
@@ -13,6 +14,7 @@ else
 fi
 go build ./...
 go test -race ./...
+(cd bench && go vet ./... && go test ./...)
 # Small-budget smoke: the pipeline under a budget barely above its minimum
 # residency must complete (serializing, never deadlocking), and the banded
 # executor must finish in less memory than even one cube's residency.
@@ -20,3 +22,6 @@ go run ./cmd/stapdetect -small -cpis 4 -membudget 200K >/dev/null
 go run ./cmd/stapdetect -small -cpis 4 -membudget 100K -band 16 >/dev/null
 sh scripts/serve_smoke.sh
 sh scripts/chaos_smoke.sh
+for w in paper-file slowstore-file mid-banded small-serve; do
+    sh bench/run.sh --workload "$w" --seed 1 --seconds 2 --trace 0
+done
