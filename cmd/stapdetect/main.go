@@ -27,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 
 	"stapio/internal/core"
 	"stapio/internal/cube"
@@ -63,7 +64,7 @@ func main() {
 		rdAhead  = flag.Int("readahead", 1, "readahead depth: striped reads kept in flight beyond the CPI being consumed")
 		decodeW  = flag.Int("decodeworkers", 1, "goroutines sharding each cube's checksum verify and decode")
 		memBud   = flag.String("membudget", "", `hard byte budget for cube + intermediate residency, e.g. "256M" or "1G" (empty = unlimited; residency is still tracked). With -data, cold prefetched cubes spill to the striped store under pressure`)
-		band     = flag.Int("band", 0, "out-of-core banded execution: stream each CPI through range-bin bands of this many bins, peak residency O(band) instead of O(cube) (0 = full-cube pipeline)")
+		band     = flag.Int("band", 0, "out-of-core banded execution: stream each CPI through the pipeline as range-bin bands of this many bins, peak residency O(band) instead of O(cube); every pipeline option applies, with -readahead counted in bands (0 = whole cubes)")
 		traceOut = flag.String("tunetrace", "", "write the auto-tuner's full decision log (no-op windows included) as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -211,7 +212,7 @@ func main() {
 	var res *pipexec.Result
 	if *band > 0 {
 		if *stream {
-			fatal(fmt.Errorf("-band is a sequential out-of-core mode and cannot feed from -stream"))
+			fatal(fmt.Errorf("-band reads range bands from -data or the generator; -stream delivers whole cubes"))
 		}
 		bsrc := pipexec.BandedSource(fileSrc)
 		if fileSrc == nil {
@@ -234,7 +235,7 @@ func main() {
 			fmt.Printf("  dropped CPIs: %v\n", st.DroppedSeqs)
 		}
 	}
-	if *data != "" && *band == 0 {
+	if *data != "" {
 		fmt.Printf("I/O frontend: readahead=%d decode-workers=%d source-stalls=%d (%v stalled) window-occupancy %.2f\n",
 			st.FinalReadAhead, st.FinalDecodeWorkers, st.SourceStalls, st.SourceStall.Round(1e6), st.ReadaheadReady)
 	}
@@ -318,17 +319,20 @@ func main() {
 	}
 }
 
-// bandedScenarioSource adapts an in-memory generator scenario to the banded
-// executor: the full cube is synthesised once per CPI and bands are copied
+// bandedScenarioSource adapts an in-memory generator scenario to banded
+// execution: the full cube is synthesised once per CPI and bands are copied
 // out of it. Real out-of-core runs come from -data, where ReadBand fetches
 // only the band's chunks; this adapter exists so -band is demonstrable
 // without staging a dataset.
 func bandedScenarioSource(sc *radar.Scenario) pipexec.BandedSource {
 	var (
+		mu   sync.Mutex // band reads overlap under readahead
 		seq  = ^uint64(0)
 		full *cube.Cube
 	)
 	return pipexec.FuncBandSource(func(k uint64, lo, hi int, dst *cube.Cube) error {
+		mu.Lock()
+		defer mu.Unlock()
 		if k != seq {
 			cb, err := sc.Generate(k)
 			if err != nil {

@@ -84,9 +84,11 @@ type Budget struct {
 	stallNS   int64
 }
 
-// waiter is one blocked Acquire. Grant-side charging: whoever closes
+// waiter is one blocked Acquire. Grant-side charging: whoever signals
 // ready has already charged the bytes, so a cancelled waiter that lost
-// the race must uncharge.
+// the race must uncharge. Waiters are recycled through waiterPool, so a
+// stalled acquire allocates nothing in steady state; ready holds at most
+// the one grant token.
 type waiter struct {
 	b     *Budget
 	n     int64
@@ -94,6 +96,8 @@ type waiter struct {
 	seq   uint64
 	ready chan struct{}
 }
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan struct{}, 1)} }}
 
 // New builds a root budget. limit 0 means unlimited with accounting.
 func New(name string, limit int64) *Budget {
@@ -203,7 +207,7 @@ func (root *Budget) grantLocked() {
 		for i, w := range root.waiters {
 			if head[w.b] == w && w.b.fitsLocked(w.n) {
 				w.b.chargeLocked(w.n)
-				close(w.ready)
+				w.ready <- struct{}{}
 				root.waiters = append(root.waiters[:i], root.waiters[i+1:]...)
 				granted = true
 				break // the waiter list changed; rescan
@@ -258,7 +262,8 @@ func (b *Budget) AcquirePri(ctx context.Context, n int64, pri uint64) error {
 		root.mu.Unlock()
 		return nil
 	}
-	w := &waiter{b: b, n: n, pri: pri, seq: root.seq, ready: make(chan struct{})}
+	w := waiterPool.Get().(*waiter)
+	w.b, w.n, w.pri, w.seq = b, n, pri, root.seq
 	root.seq++
 	root.waiters = append(root.waiters, w)
 	b.stalls++
@@ -271,6 +276,7 @@ func (b *Budget) AcquirePri(ctx context.Context, n int64, pri uint64) error {
 		root.mu.Lock()
 		b.stallNS += int64(time.Since(t0))
 		root.mu.Unlock()
+		waiterPool.Put(w)
 		return nil
 	case <-ctx.Done():
 		root.mu.Lock()
@@ -279,9 +285,11 @@ func (b *Budget) AcquirePri(ctx context.Context, n int64, pri uint64) error {
 			// the bytes, so hand them back and wake whoever fits now.
 			b.unchargeLocked(w.n)
 			root.grantLocked()
+			<-w.ready // the grant's token, sent under the lock
 		}
 		b.stallNS += int64(time.Since(t0))
 		root.mu.Unlock()
+		waiterPool.Put(w)
 		return ctx.Err()
 	}
 }

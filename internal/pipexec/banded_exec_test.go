@@ -3,6 +3,7 @@ package pipexec
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"stapio/internal/cube"
@@ -13,14 +14,18 @@ import (
 )
 
 // scenarioBandSource adapts a generator scenario to BandedSource: the full
-// cube is built once per CPI and bands are copied out of it.
+// cube is built once per CPI and bands are copied out of it. Band reads
+// overlap under readahead, so the cached cube is guarded.
 func scenarioBandSource(t *testing.T, s *radar.Scenario) BandedSource {
 	t.Helper()
 	var (
+		mu   sync.Mutex
 		seq  = ^uint64(0)
 		full *cube.Cube
 	)
 	return FuncBandSource(func(k uint64, lo, hi int, dst *cube.Cube) error {
+		mu.Lock()
+		defer mu.Unlock()
 		if k != seq {
 			cb, err := s.Generate(k)
 			if err != nil {
@@ -58,8 +63,8 @@ func TestRunBandedMatchesReference(t *testing.T) {
 						band, forgetting, k)
 				}
 			}
-			if len(res.Stages) == 0 || res.Stages[0].Name != "band read" {
-				t.Errorf("band %d: missing band-read stage accounting", band)
+			if len(res.Stages) == 0 || res.Stages[0].Name != "read" || res.Stages[0].CPIs != n {
+				t.Errorf("band %d: read stage accounting %+v, want %d CPIs on \"read\"", band, res.Stages, n)
 			}
 		}
 	}

@@ -96,4 +96,24 @@ func TestDetectionDeterminism(t *testing.T) {
 		}
 		exact("band size", collect(res), want)
 	}
+
+	// Bands behind a separate read stage with a readahead window of band
+	// reads, under a live worker-swap schedule: overlapping band fetches
+	// and mid-run re-partitioning never reorder a reduction.
+	for _, band := range []int{1, 7} {
+		for _, depth := range []int{1, 4} {
+			cfg := testConfig()
+			cfg.BandRanges = band
+			cfg.SeparateIO = true
+			cfg.ReadAhead = depth
+			cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
+				set(cpi%7, 1+cpi%3)
+			}
+			res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+			if err != nil {
+				t.Fatalf("band %d readahead %d: %v", band, depth, err)
+			}
+			exact("band readahead swap", collect(res), want)
+		}
+	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stapio/internal/cube"
 	"stapio/internal/stap"
 )
 
@@ -22,19 +21,20 @@ type dopplerHandle struct {
 	refs atomic.Int32
 }
 
-// pipePools recycles the large per-CPI intermediates of one pipeline run —
-// Doppler cubes, beam cubes and weight sets — so steady-state CPIs reuse the buffers of
-// CPIs that already drained instead of allocating fresh ones. Both cube
-// kinds are fully overwritten by their producing stage (the union of range
-// blocks covers every gate; easy and hard bins together cover every bin),
+// pipePools recycles the large intermediates of one pipeline run —
+// Doppler bands, beam cubes and weight sets — so steady-state items reuse
+// the buffers of items that already drained instead of allocating fresh
+// ones. Both cube kinds are fully overwritten by their producing stage
+// (the union of range blocks covers every gate of a band, the bands of a
+// CPI cover every gate, and easy and hard bins together cover every bin),
 // so recycled buffers need no zeroing.
 //
 // The news counters record how many buffers were ever built; with hand-back
 // working they are bounded by the pipeline depth, not the CPI count, which
 // the pool regression test pins.
 type pipePools struct {
-	doppler sync.Pool // *dopplerHandle
-	beam    sync.Pool // *stap.BeamCube
+	doppler map[int]*sync.Pool // *dopplerHandle, keyed by band width
+	beam    sync.Pool          // *stap.BeamCube
 
 	dopplerNews atomic.Int64
 	beamNews    atomic.Int64
@@ -44,11 +44,15 @@ type pipePools struct {
 	easyW, hardW *weightPool
 }
 
-func newPipePools(p *stap.Params) *pipePools {
-	pl := &pipePools{}
-	pl.doppler.New = func() any {
-		pl.dopplerNews.Add(1)
-		return &dopplerHandle{dc: stap.NewDopplerCube(p)}
+// newPipePools builds the pools of a run whose items span the given band
+// widths (the band and, when the range extent does not divide, the tail).
+func newPipePools(p *stap.Params, widths ...int) *pipePools {
+	pl := &pipePools{doppler: make(map[int]*sync.Pool, len(widths))}
+	for _, w := range widths {
+		pl.doppler[w] = &sync.Pool{New: func() any {
+			pl.dopplerNews.Add(1)
+			return &dopplerHandle{dc: stap.NewDopplerCubeBand(p, w)}
+		}}
 	}
 	pl.beam.New = func() any {
 		pl.beamNews.Add(1)
@@ -57,10 +61,10 @@ func newPipePools(p *stap.Params) *pipePools {
 	return pl
 }
 
-// getDoppler leases a Doppler cube for one CPI with its fan-out references
-// armed.
-func (pl *pipePools) getDoppler(seq uint64) *dopplerHandle {
-	h := pl.doppler.Get().(*dopplerHandle)
+// getDoppler leases a Doppler band of the given width for CPI seq with its
+// fan-out references armed.
+func (pl *pipePools) getDoppler(seq uint64, width int) *dopplerHandle {
+	h := pl.doppler[width].Get().(*dopplerHandle)
 	h.dc.Seq = seq
 	h.refs.Store(dopplerConsumers)
 	return h
@@ -72,7 +76,7 @@ func (pl *pipePools) getDoppler(seq uint64) *dopplerHandle {
 // run is dying and the garbage collector reclaims the cube.
 func (pl *pipePools) releaseDoppler(h *dopplerHandle) bool {
 	if h.refs.Add(-1) == 0 {
-		pl.doppler.Put(h)
+		pl.doppler[h.dc.Ranges].Put(h)
 		return true
 	}
 	return false
@@ -87,14 +91,6 @@ func (pl *pipePools) getBeam(seq uint64) *stap.BeamCube {
 // putBeam recycles a beam cube once CFAR has extracted its detections.
 func (pl *pipePools) putBeam(bc *stap.BeamCube) {
 	pl.beam.Put(bc)
-}
-
-// recycleCube hands an input cube back to its source as soon as Doppler
-// filtering has consumed it. Recycle is part of the CubeSource contract;
-// pool-less sources implement it as a no-op and leave the cube to the
-// garbage collector.
-func (r *runner) recycleCube(cb *cube.Cube) {
-	r.src.Recycle(cb)
 }
 
 // weightPool recycles one bin set's WeightSets between its weight stage,

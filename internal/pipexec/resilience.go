@@ -123,10 +123,10 @@ type RunStats struct {
 	// clean via chunk re-reads; such reads surface no error, so they appear
 	// here rather than in ChecksumFailures.
 	RepairedReads int64
-	// SourceStalls counts CPIs whose readahead-window head had not landed
-	// when the pipeline came to consume it — the pipeline stalled on the
-	// source. High stall counts with a shallow window are the signature of
-	// an I/O-bound run (zero for sources without readiness probes).
+	// SourceStalls counts items (CPIs, or bands under RunBanded) whose
+	// readahead-window head had not landed when the pipeline came to
+	// consume it — the pipeline stalled on the source. High stall counts
+	// with a shallow window are the signature of an I/O-bound run.
 	SourceStalls int64
 	// SourceStall is the total time the read stage spent waiting on the
 	// source (head-of-window waits, retries included).
@@ -185,7 +185,7 @@ type IOSnapshot struct {
 	// (the auto-tuner may have moved them off the configured values).
 	ReadAhead     int `json:"read_ahead"`
 	DecodeWorkers int `json:"decode_workers"`
-	// SourceStalls counts CPIs the pipeline had to wait for because the
+	// SourceStalls counts items the pipeline had to wait for because the
 	// window head had not landed; SourceStallNS is the total nanoseconds
 	// spent in those head-of-window waits.
 	SourceStalls  int64 `json:"source_stalls"`

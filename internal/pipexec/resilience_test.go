@@ -5,12 +5,15 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"stapio/internal/cube"
+	"stapio/internal/membudget"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
+	"stapio/internal/stap"
 )
 
 // fastRetry keeps test retries from sleeping noticeably.
@@ -104,6 +107,81 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 		a.ChunkRereadBytes != st.ChunkRereadBytes || a.RepairedReads != st.RepairedReads {
 		t.Errorf("counters not reproducible: first %v, second %v", st, a)
 	}
+
+	// Banded leg: FileSource band reads through a readahead window under
+	// a fault plan, with too little retry budget to read every band. A CPI
+	// whose band read stays failed is dropped whole — also when earlier
+	// bands were already filtered, accumulated and beamformed — and every
+	// delivered CPI must match the sequential chain over the delivered CPIs
+	// alone (weights train on the previous delivered CPI).
+	bfs, bsrc, _ := chunkedKeepStore(t, s, n, 256)
+	bcfg := cfg
+	bcfg.BandRanges = 16
+	bcfg.ReadAhead = 4
+	bcfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}
+	bandPlan := func() *pfs.FaultPlan { return &pfs.FaultPlan{Seed: 7, FailRate: 0.05, CorruptRate: 0.02} }
+	bfs.SetFaults(bandPlan())
+	bcfg.MemBudget = membudget.New("banded", 0)
+	banded, err := RunBanded(context.Background(), bcfg, bsrc, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bst := banded.Stats
+	if bst.Retries == 0 || bst.Drops == 0 || bst.ChunkRereads == 0 {
+		t.Fatalf("banded leg should retry, repair and drop: %v", bst)
+	}
+	if got := len(banded.CPIs) + len(bst.DroppedSeqs); got != n {
+		t.Fatalf("banded leg: %d delivered + %d dropped CPIs, want %d", len(banded.CPIs), len(bst.DroppedSeqs), n)
+	}
+	// The Doppler clock counts every CPI it filtered a band of; CPIs it
+	// counted beyond the delivered ones were dropped after their first band.
+	if partial := banded.Stages[1].CPIs - len(banded.CPIs); partial < 1 {
+		t.Errorf("banded leg dropped no CPI mid-way (doppler clock %d CPIs, %d delivered)", banded.Stages[1].CPIs, len(banded.CPIs))
+	}
+	want := referenceSkipping(t, cfg.Params, s, n, bst.DroppedSeqs)
+	for _, c := range banded.CPIs {
+		if !sameDetections(c.Detections, want[c.Seq]) {
+			t.Errorf("banded CPI %d: detections differ from the clean chain over the delivered CPIs", c.Seq)
+		}
+	}
+	if inUse := bcfg.MemBudget.InUse(); inUse != 0 {
+		t.Errorf("banded leg left %d bytes charged: dropped CPIs leaked slabs or beam cubes", inUse)
+	}
+
+	// Fail-fast: the same failures abort the banded run with the typed
+	// read error.
+	bcfg.Degrade = DegradeFailFast
+	bcfg.MemBudget = nil
+	bfs.SetFaults(&pfs.FaultPlan{Seed: 7, FailRate: 0.05})
+	_, err = RunBanded(context.Background(), bcfg, bsrc, n)
+	var fe *pfs.FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("fail-fast banded run: got %v, want a *pfs.FaultError", err)
+	}
+}
+
+// referenceSkipping runs the sequential chain over CPIs 0..n-1 minus the
+// skipped ones, keyed by sequence number.
+func referenceSkipping(t *testing.T, p stap.Params, s *radar.Scenario, n int, skip []uint64) map[uint64][]stap.Detection {
+	t.Helper()
+	pr, err := stap.NewProcessor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[uint64][]stap.Detection)
+	for k := uint64(0); k < uint64(n); k++ {
+		if slices.Contains(skip, k) {
+			continue
+		}
+		cb, err := s.Generate(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[k], err = pr.Process(cb, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // stuckSource wraps a source and makes one CPI permanently unreadable.

@@ -45,8 +45,9 @@ type Config struct {
 	// is exhausted. The default, DegradeFailFast, aborts the run (the
 	// pre-resilience behaviour).
 	Degrade DegradePolicy
-	// ReadAhead is the readahead depth: how many striped reads the read
-	// stage keeps in flight beyond the CPI currently being consumed.
+	// ReadAhead is the readahead depth: how many reads the read stage
+	// keeps in flight beyond the item currently being consumed (a CPI,
+	// or one range band of it under RunBanded).
 	// Values < 1 mean 1, the classic one-deep prefetch (double
 	// buffering); deeper windows hide multi-CPI read latency the same way
 	// pipesim's PrefetchDepth does in the model.
@@ -68,8 +69,8 @@ type Config struct {
 	// depth (see DESIGN.md §12). Decisions are traced in
 	// RunStats.TuneDecisions.
 	AutoTune *tune.Config
-	// MemBudget, when non-nil, charges every large per-CPI slab — input
-	// cube, Doppler cube, beam cube — against a hierarchical byte budget:
+	// MemBudget, when non-nil, charges every large slab — input cube or
+	// band slab, Doppler cube or band, beam cube — against a hierarchical byte budget:
 	// reads and compute admissions block (deadlock-free, oldest CPI
 	// first) until bytes are available, and the tracked residency never
 	// exceeds the budget's path limit. nil means unlimited; the runner
@@ -84,9 +85,10 @@ type Config struct {
 	// the chunked v3 format under budget pressure and transparently
 	// reloaded (with per-chunk CRC verify and repair) when consumed.
 	Spill *SpillConfig
-	// BandRanges is the range-band size of the banded executor
-	// (RunBanded); values < 1 mean the full range extent. Ignored by Run
-	// and Stream.
+	// BandRanges is the range-band size of RunBanded, whose CPIs flow
+	// through the stages as range-band items; values < 1 mean the full
+	// range extent. Run and Stream consume whole cubes and run every CPI
+	// as one item, so they ignore it.
 	BandRanges int
 	// testOnCPI, when set (tests only), runs on the terminal stage's
 	// goroutine after each recorded CPI with a setter that swaps live
@@ -207,57 +209,53 @@ func (r *Result) MeanLatency() time.Duration {
 	return sum / time.Duration(len(r.CPIs))
 }
 
-// message types between stages
+// message types between stages. The read, Doppler, weight and BF stages
+// pass items — one range band of one CPI (see bands); a drop message
+// tells them to discard a CPI abandoned after some of its bands were
+// delivered. Pulse compression and CFAR pass whole CPIs.
 
 type cubeMsg struct {
-	seq   uint64
-	cb    *cube.Cube
-	start time.Time // latency clock start (head stage service start)
+	item  uint64
+	cb    *cube.Cube // the item's band slab
+	start time.Time  // latency clock start (head stage service start)
+	drop  bool
 }
 
 type dopplerMsg struct {
-	seq uint64
-	// h carries the pooled Doppler cube with its fan-out refcount; every
+	item uint64
+	// h carries the pooled Doppler band with its fan-out refcount; every
 	// consumer releases it when done reading (see pipePools).
 	h     *dopplerHandle
-	bc    *stap.BeamCube // shared output buffer both BF stages fill
+	bc    *stap.BeamCube // the CPI's output buffer both BF stages fill
 	start time.Time
+	drop  bool
 }
 
 type beamMsg struct {
 	seq   uint64
 	bc    *stap.BeamCube
 	start time.Time
+	drop  bool
 }
 
 // Run pushes n CPIs from src through the pipeline and collects the
 // detection reports.
 func Run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error) {
-	cfg, err := withAutoTuneDefaults(cfg, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+	cfg.BandRanges = 0 // a CubeSource delivers whole cubes
+	return run(ctx, cfg, src, n)
+}
+
+// run executes n CPIs through the stages; src delivers items (whole cubes,
+// or the band slabs of RunBanded's adapter).
+func run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pipexec: need at least one CPI, got %d", n)
 	}
-	buf := cfg.Buffer
-	if buf < 1 {
-		buf = 1
-	}
-	r := newRunner(cfg, src, n)
-	if err := r.initBudget(); err != nil {
+	r, buf, err := prepare(ctx, cfg, src, n)
+	if err != nil {
 		return nil, err
 	}
-	if err := r.setup(); err != nil {
-		return nil, err
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	r.ctx, r.cancel = ctx, cancel
+	defer r.cancel()
 
 	start := time.Now()
 	wg := r.launch(buf)
@@ -276,14 +274,39 @@ func Run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error
 	return res, nil
 }
 
-// newRunner builds the per-run state shared by Run and Stream: resolved
-// bin sets plus the buffer pools that recycle the per-CPI intermediates.
+// prepare validates the configuration and builds a runner for n CPIs,
+// ready to launch with the returned channel depth under a cancellable
+// child of ctx.
+func prepare(ctx context.Context, cfg Config, src CubeSource, n int) (*runner, int, error) {
+	cfg, err := withAutoTuneDefaults(cfg, src)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, 0, err
+	}
+	r := newRunner(cfg, src, n)
+	if err := r.initBudget(); err != nil {
+		return nil, 0, err
+	}
+	if err := r.setup(); err != nil {
+		return nil, 0, err
+	}
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	return r, max(cfg.Buffer, 1), nil
+}
+
+// newRunner builds the per-run state shared by Run, RunBanded and Stream:
+// the item geometry, resolved bin sets, and the buffer pools that recycle
+// the per-item intermediates.
 func newRunner(cfg Config, src CubeSource, n int) *runner {
-	r := &runner{cfg: cfg, n: n, src: src}
+	r := &runner{cfg: cfg, src: src, admitKick: make(chan struct{}, 1)}
 	r.p = &r.cfg.Params
+	r.bands = newBands(r.p.Dims.Ranges, cfg.BandRanges)
+	r.items = n * r.bands.nb
 	r.easyBins = r.p.EasyBins()
 	r.hardBins = r.p.HardBins()
-	r.pools = newPipePools(r.p)
+	r.pools = newPipePools(r.p, r.bands.widths()...)
 	ra := cfg.ReadAhead
 	if ra < 1 {
 		ra = 1
@@ -380,6 +403,12 @@ func (r *runner) setup() error {
 	if r.solvHard, err = stap.NewWeightSolver(r.p, r.hardBins, true); err != nil {
 		return fmt.Errorf("pipexec: hard weights: %w", err)
 	}
+	if r.accEasy, err = stap.NewCovAccumulator(r.p, r.easyBins, false); err != nil {
+		return fmt.Errorf("pipexec: easy covariances: %w", err)
+	}
+	if r.accHard, err = stap.NewCovAccumulator(r.p, r.hardBins, true); err != nil {
+		return fmt.Errorf("pipexec: hard covariances: %w", err)
+	}
 	return r.initTuning([numTunable]*stageClock{
 		r.ck.dop, r.ck.we, r.ck.wh, r.ck.bfe, r.ck.bfh, r.ck.pc, r.ck.cf,
 	})
@@ -419,10 +448,10 @@ func (r *runner) launch(buf int) *sync.WaitGroup {
 	r.pools.easyW = newWeightPool(r.p, r.easyBins, buf)
 	r.pools.hardW = newWeightPool(r.p, r.hardBins, buf)
 	spawn(func() error {
-		return r.weightStage(r.ck.we, weIn, weOut, r.pools.easyW, r.solvEasy, false, tsEasyWeight)
+		return r.weightStage(r.ck.we, weIn, weOut, r.pools.easyW, r.solvEasy, r.accEasy, tsEasyWeight)
 	})
 	spawn(func() error {
-		return r.weightStage(r.ck.wh, whIn, whOut, r.pools.hardW, r.solvHard, true, tsHardWeight)
+		return r.weightStage(r.ck.wh, whIn, whOut, r.pools.hardW, r.solvHard, r.accHard, tsHardWeight)
 	})
 	// pcIn has two producers, so neither BF stage may close it alone; a
 	// closer goroutine does once both have exited. Downstream termination
@@ -466,6 +495,8 @@ type stageClock struct {
 	busy atomic.Int64 // cumulative busy nanoseconds
 	cpis atomic.Int64
 	hist durHist
+	// pend sums the bands of the CPI in progress (owning stage only).
+	pend time.Duration
 }
 
 // add records one CPI's processing time.
@@ -473,6 +504,16 @@ func (c *stageClock) add(d time.Duration) {
 	c.busy.Add(int64(d))
 	c.cpis.Add(1)
 	c.hist.record(d)
+}
+
+// addItem accumulates one item's processing time and records the CPI's
+// total on its last item, so the clock counts CPIs whatever the band size.
+func (c *stageClock) addItem(d time.Duration, last bool) {
+	c.pend += d
+	if last {
+		c.add(c.pend)
+		c.pend = 0
+	}
 }
 
 // stat freezes the clock into a StageStat.
@@ -487,16 +528,23 @@ type pipeClocks struct {
 }
 
 type runner struct {
-	cfg      Config
-	p        *stap.Params
-	n        int
+	cfg Config
+	p   *stap.Params
+	// bands maps items to (CPI, range band); items is the run's item
+	// count (CPIs x bands per CPI).
+	bands    bands
+	items    int
 	src      CubeSource
 	easyBins []int
 	hardBins []int
 	pools    *pipePools
-	// solvEasy/solvHard are the per-bin-set weight solvers (see setup).
+	// solvEasy/solvHard are the per-bin-set weight solvers and
+	// accEasy/accHard the covariance accumulators the weight stages fold
+	// each band into (see setup).
 	solvEasy *stap.WeightSolver
 	solvHard *stap.WeightSolver
+	accEasy  *stap.CovAccumulator
+	accHard  *stap.CovAccumulator
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -552,13 +600,17 @@ type runner struct {
 
 	// Memory budgeting (see membudget.go): the resolved budget (never nil
 	// after initBudget — unbudgeted runs account against a private
-	// unlimited one), the per-slab byte costs, the optional spill tier,
-	// and the cube-charge registry pairing each issued read's charge with
+	// unlimited one), the slab and Doppler bytes of a full-band item and
+	// the beam cube's, the count of items the Doppler stage has admitted
+	// with a signal per admission (see headroom), the optional spill tier,
+	// and the slab-charge registry pairing each issued read's charge with
 	// the exactly-one release that retires it.
 	budget      *membudget.Budget
 	cubeB       int64
 	dopB        int64
 	beamB       int64
+	admitted    atomic.Int64
+	admitKick   chan struct{}
 	spiller     *spiller
 	chargeMu    sync.Mutex
 	cubeCharged map[uint64]bool
@@ -648,9 +700,19 @@ type cubeResult struct {
 }
 
 // waitCube blocks for an in-flight read, bounding the wait by run
-// cancellation. An abandoned wait's goroutine drains itself once the
+// cancellation. The built-in file and band fetches expose their
+// completion channel and are awaited in place; any other pending waits in
+// a goroutine, and an abandoned wait's goroutine drains itself once the
 // underlying read completes.
 func (r *runner) waitCube(p PendingCube) (*cube.Cube, error) {
+	if fp, ok := p.(*asyncFetch); ok {
+		select {
+		case <-fp.done:
+			return fp.cb, fp.err
+		case <-r.ctx.Done():
+			return nil, r.ctx.Err()
+		}
+	}
 	ch := make(chan cubeResult, 1)
 	go func() {
 		cb, err := p.Wait()
@@ -676,9 +738,9 @@ func (r *runner) sleep(d time.Duration) bool {
 	}
 }
 
-// awaitCube resolves CPI k's read under the retry and degradation
-// policies. A (nil, nil) return means the CPI was dropped (skip policies)
-// or the run was cancelled; the caller distinguishes via ctx.
+// awaitCube resolves item k's read under the retry and degradation
+// policies. A (nil, nil) return means the item's CPI was dropped (skip
+// policies) or the run was cancelled; the caller distinguishes via ctx.
 func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 	max := r.cfg.Retry.attempts()
 	for attempt := 0; ; attempt++ {
@@ -692,12 +754,13 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 		if errors.Is(err, cube.ErrCorrupt) {
 			r.stats.checksumFailures.Add(1)
 		}
+		seq, lo, hi := r.bands.span(uint64(k))
 		if attempt+1 >= max {
 			if r.cfg.Degrade == DegradeFailFast {
-				return nil, fmt.Errorf("pipexec: reading CPI %d (attempt %d of %d): %w", k, attempt+1, max, err)
+				return nil, fmt.Errorf("pipexec: reading CPI %d gates [%d,%d) (attempt %d of %d): %w", seq, lo, hi, attempt+1, max, err)
 			}
 			r.stats.drops.Add(1)
-			r.dropped = append(r.dropped, uint64(k))
+			r.dropped = append(r.dropped, seq)
 			return nil, nil
 		}
 		r.stats.retries.Add(1)
@@ -708,53 +771,57 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 	}
 }
 
-// readStage fetches cubes through a depth-D readahead window: while CPI k
-// is being consumed, the reads of CPIs k+1 .. k+D are already in flight
-// (Config.ReadAhead; depth 1 is the classic one-deep prefetch). Fetches
-// complete in any order but are delivered strictly in sequence — the
-// window is a FIFO, so downstream stages never see reordering. In the
+// readStage fetches items through a depth-D readahead window: while item
+// k is being consumed, the reads of items k+1 .. k+D are already in
+// flight (Config.ReadAhead; depth 1 is the classic one-deep prefetch).
+// Fetches complete in any order but are delivered strictly in sequence —
+// the window is a FIFO, so downstream stages never see reordering. In the
 // embedded design the stage still runs as a goroutine, but its channel
 // hand-off is the "read phase" of the Doppler task: the latency clock
-// starts when the Doppler stage receives the cube. In the separate design
-// the clock starts when the read stage begins waiting for the data.
-// Failed reads are retried per Config.Retry and, under a skip policy,
-// dropped once exhausted; retries re-issue only the CPI at the window
-// head, while the rest of the window stays in flight.
+// starts when the Doppler stage receives a CPI's first item. In the
+// separate design the clock starts when the read stage begins waiting for
+// it. Failed reads are retried per Config.Retry and, under a skip policy,
+// their CPI is dropped whole once retries are exhausted; retries re-issue
+// only the item at the window head, while the rest of the window stays in
+// flight.
 func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 	defer close(out)
 	window := make([]PendingCube, 0, r.liveReadAhead()+1)
 	issued := 0
-	for k := 0; k < r.n; k++ {
-		// Keep depth reads in flight beyond CPI k (the one about to be
+	var sent int64      // items delivered to the Doppler stage
+	var start time.Time // the current CPI's latency start (separate design)
+	dropping := false   // the current CPI was dropped: retire its remaining items
+	for k := 0; k < r.items; k++ {
+		// Keep depth reads in flight beyond item k (the one about to be
 		// consumed): issue everything up to k+depth that hasn't started.
-		// The depth is loaded fresh every CPI — the auto-tuner grows or
+		// The depth is loaded fresh every item — the auto-tuner grows or
 		// shrinks the window between CPIs; a grow issues more prefetches
 		// right here, a shrink just stops issuing until the consumer
 		// catches up. Delivery stays strictly FIFO either way, so a
-		// rebalance can never reorder CPIs.
+		// rebalance can never reorder items.
 		depth := r.liveReadAhead()
-		for issued < r.n && issued <= k+depth {
-			seq := uint64(issued)
-			// Budget admission: the window head (the CPI the pipeline
-			// needs next) blocks for its cube; deeper prefetches are
-			// opportunistic. Both paths take cube bytes only when doing
-			// so still leaves one CPI's compute intermediates admissible,
-			// so reads can never starve the Doppler stage into deadlock.
-			// Priorities make the oldest CPI win every race.
+		for issued < r.items && issued <= k+depth {
+			item := uint64(issued)
+			// Budget admission: the window head (the item the pipeline
+			// needs next) blocks for its slab; deeper prefetches are
+			// opportunistic. Both paths take slab bytes only when doing
+			// so still leaves the oldest item's compute intermediates
+			// admissible, so reads can never starve the Doppler stage into
+			// deadlock. Priorities make the oldest item win every race.
 			if issued == k {
-				if err := r.acquireReadHead(seq); err != nil {
+				if err := r.acquireReadHead(item, sent); err != nil {
 					if r.ctx.Err() != nil {
 						return nil
 					}
-					return fmt.Errorf("pipexec: read CPI %d: %w", issued, err)
+					return fmt.Errorf("pipexec: read CPI %d: %w", r.bands.seq(item), err)
 				}
-			} else if !r.tryAcquireReadAhead() {
+			} else if !r.tryAcquireReadAhead(item) {
 				break
 			}
-			r.setCubeCharged(seq)
-			pend := r.src.Begin(seq, 0)
+			r.setCubeCharged(item)
+			pend := r.src.Begin(item, 0)
 			if r.spiller != nil {
-				pend = r.spiller.track(seq, pend)
+				pend = r.spiller.track(item, pend)
 			}
 			window = append(window, pend)
 			issued++
@@ -776,30 +843,52 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 		pending := window[0]
 		copy(window, window[1:])
 		window = window[:len(window)-1]
+		_, lo, hi := r.bands.span(uint64(k))
+		last := hi == r.p.Dims.Ranges
+		if lo == 0 {
+			dropping = false
+		}
+		if dropping {
+			// A later band of a dropped CPI: retire it unseen.
+			if cb, err := r.waitCube(pending); err == nil {
+				r.src.Recycle(cb)
+			}
+			r.releaseCubeCharge(uint64(k))
+			continue
+		}
 		startWait := time.Now()
 		cb, err := r.awaitCube(k, pending)
 		if err != nil {
 			return err
 		}
 		wait := time.Since(startWait)
-		clk.add(wait)
+		clk.addItem(wait, last || cb == nil)
 		r.stats.sourceStallNS.Add(int64(wait))
 		if r.ctx.Err() != nil {
 			return nil
 		}
 		if cb == nil {
-			// Dropped under a skip policy: the cube never reaches the
-			// Doppler stage, so its charge retires here.
+			// Dropped under a skip policy: the slab never reaches the
+			// Doppler stage, so its charge retires here. Bands already
+			// delivered are discarded downstream.
 			r.releaseCubeCharge(uint64(k))
+			dropping = true
+			if lo > 0 && !send(r, out, cubeMsg{item: uint64(k), drop: true}) {
+				return nil
+			}
 			continue
 		}
-		msg := cubeMsg{seq: uint64(k), cb: cb}
+		if lo == 0 {
+			start = startWait
+		}
+		msg := cubeMsg{item: uint64(k), cb: cb}
 		if r.cfg.SeparateIO {
-			msg.start = startWait
+			msg.start = start
 		}
 		if !send(r, out, msg) {
 			return nil
 		}
+		sent = int64(k) + 1
 	}
 	return nil
 }
@@ -818,73 +907,118 @@ func (r *runner) liveReadAhead() int {
 
 // dopplerStage runs Doppler filter processing, partitioned by range gates.
 // Each worker owns a DopplerScratch built once for the whole run, the
-// output cube is leased from the pool, and the input cube is handed back to
-// the source as soon as filtering has consumed it.
+// output band is leased from the pool, and the input slab is handed back
+// to the source as soon as filtering has consumed it. A CPI's first item
+// also leases the beam cube its BF stages fill.
 func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, bfeOut, bfhOut chan<- dopplerMsg) error {
 	defer close(weOut)
 	defer close(whOut)
 	defer close(bfeOut)
 	defer close(bfhOut)
 	var scratches []*stap.DopplerScratch
+	var bc *stap.BeamCube // the current CPI's beam cube
+	var start time.Time
+	fanOut := func(out dopplerMsg) bool {
+		for _, ch := range []chan<- dopplerMsg{weOut, whOut, bfeOut, bfhOut} {
+			if !send(r, ch, out) {
+				return false
+			}
+		}
+		return true
+	}
 	for {
 		msg, ok := recv(r, in)
 		if !ok {
 			return nil
 		}
-		if msg.start.IsZero() {
-			msg.start = time.Now() // embedded design: latency starts here
+		if msg.drop {
+			clk.addItem(0, true)
+			if !fanOut(dopplerMsg{item: msg.item, bc: bc, drop: true}) {
+				return nil
+			}
+			bc = nil
+			continue
 		}
-		// Budget admission for this CPI's intermediates (Doppler + beam
-		// cubes), at the most urgent priority of any in-flight CPI —
-		// FIFO delivery means this is always the oldest, so the wait is
-		// bounded by downstream drains, never by newer reads. Outside
-		// the stage clock: a budget stall is memory pressure, not
-		// Doppler service time, and must not skew the tuner.
-		if err := r.acquireMem(r.dopB+r.beamB, compPri(msg.seq)); err != nil {
+		seq, lo, hi := r.bands.span(msg.item)
+		first, last := lo == 0, hi == r.p.Dims.Ranges
+		if first {
+			start = msg.start
+			if start.IsZero() {
+				start = time.Now() // embedded design: latency starts here
+			}
+		}
+		// Budget admission for this item's intermediates (its Doppler
+		// band, plus the beam cube on a CPI's first band), at the most
+		// urgent priority of any in-flight item — FIFO delivery means this
+		// is always the oldest, so the wait is bounded by downstream
+		// drains, never by newer reads. Outside the stage clock: a budget
+		// stall is memory pressure, not Doppler service time, and must not
+		// skew the tuner.
+		_, need := r.itemBytes(hi - lo)
+		if first {
+			need += r.beamB
+		}
+		if err := r.acquireMem(need, compPri(msg.item)); err != nil {
 			if r.ctx.Err() != nil {
 				return nil
 			}
-			return fmt.Errorf("pipexec: doppler CPI %d: %w", msg.seq, err)
+			return fmt.Errorf("pipexec: doppler CPI %d: %w", seq, err)
 		}
-		// The worker count is loaded once per CPI; scratches grow lazily so
-		// a tuner upscale mid-run builds the extra state exactly once.
+		r.admit(msg.item)
+		if first {
+			bc = r.pools.getBeam(seq)
+		}
+		// The worker count is loaded once per item; scratches grow lazily
+		// so a tuner upscale mid-run builds the extra state exactly once.
 		workers := r.workersFor(tsDoppler)
 		for len(scratches) < workers {
 			scratches = append(scratches, stap.NewDopplerScratch(r.p))
 		}
 		t0 := time.Now()
-		h := r.pools.getDoppler(msg.seq)
-		err := parallel(workers, r.p.Dims.Ranges, func(widx int, blk cube.Block) error {
-			if err := stap.DopplerFilterRanges(r.p, msg.cb, blk, h.dc, scratches[widx]); err != nil {
+		h := r.pools.getDoppler(seq, hi-lo)
+		err := parallel(workers, hi-lo, func(widx int, blk cube.Block) error {
+			if err := stap.DopplerFilterBand(r.p, msg.cb, blk, h.dc, scratches[widx]); err != nil {
 				return err
 			}
 			r.stageSleep(r.cfg.testLoad.Doppler, blk.Len())
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("pipexec: doppler CPI %d: %w", msg.seq, err)
+			return fmt.Errorf("pipexec: doppler CPI %d: %w", seq, err)
 		}
-		r.recycleCube(msg.cb)
-		r.releaseCubeCharge(msg.seq)
-		clk.add(time.Since(t0))
-		out := dopplerMsg{seq: msg.seq, h: h, bc: r.pools.getBeam(msg.seq), start: msg.start}
-		for _, ch := range []chan<- dopplerMsg{weOut, whOut, bfeOut, bfhOut} {
-			if !send(r, ch, out) {
-				return nil
-			}
+		r.src.Recycle(msg.cb)
+		r.releaseCubeCharge(msg.item)
+		clk.addItem(time.Since(t0), last)
+		if !fanOut(dopplerMsg{item: msg.item, h: h, bc: bc, start: start}) {
+			return nil
 		}
+	}
+}
+
+// releaseDoppler drops one consumer's reference to an item's Doppler
+// band, retiring its budget charge with the last one.
+func (r *runner) releaseDoppler(h *dopplerHandle) {
+	if r.pools.releaseDoppler(h) {
+		_, dopB := r.itemBytes(h.dc.Ranges)
+		r.releaseMem(dopB)
 	}
 }
 
 // weightStage computes adaptive weights for its bin set, partitioned by
 // Doppler bins, and feeds them forward for the next CPI's beamforming.
-// When Params.Forgetting is set, the stage smooths the covariance
-// estimates across CPIs exactly as the sequential reference chain does.
-// The stage solves through the bin set's WeightSolver (steering table,
-// covariance matrices, per-worker scratch) into sets leased from pool, so
-// in steady state it allocates nothing.
-func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, pool *weightPool, solver *stap.WeightSolver, hard bool, slot int) error {
+// Every band folds into the bin set's covariance accumulator; the CPI's
+// last band finishes the estimate, smooths it across CPIs (when
+// Params.Forgetting is set, exactly as the sequential reference chain
+// does), solves through the bin set's WeightSolver into a set leased from
+// pool, and resets the accumulator — so in steady state the stage
+// allocates nothing.
+func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *stap.WeightSet, pool *weightPool, solver *stap.WeightSolver, acc *stap.CovAccumulator, slot int) error {
 	defer close(out)
+	hard := slot == tsHardWeight
+	load := r.cfg.testLoad.EasyWeight
+	if hard {
+		load = r.cfg.testLoad.HardWeight
+	}
 	smoother := stap.CovarianceSmoother{Lambda: r.p.Forgetting}
 	// Under DegradeLastGoodWeights, a private copy of the last set that
 	// solved: the sets sent downstream go back to the pool and are
@@ -895,17 +1029,40 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 		if !ok {
 			return nil
 		}
+		if msg.drop {
+			// The CPI was dropped mid-way: discard its partial
+			// covariances; it trains no weights.
+			acc.Reset()
+			clk.addItem(0, true)
+			continue
+		}
+		seq, lo, hi := r.bands.span(msg.item)
 		workers := r.workersFor(slot)
-		solver.Grow(workers)
 		t0 := time.Now()
+		err := parallel(workers, len(solver.Bins()), func(_ int, blk cube.Block) error {
+			if err := acc.AddBand(msg.h.dc, lo, blk); err != nil {
+				return err
+			}
+			r.stageSleep(load, blk.Len())
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("pipexec: %s covariances CPI %d: %w", setName(hard), seq, err)
+		}
+		r.releaseDoppler(msg.h)
+		if hi < r.p.Dims.Ranges {
+			clk.addItem(time.Since(t0), false)
+			continue
+		}
+		solver.Grow(workers)
 		ws := pool.get()
-		if err := r.solveWeightSet(solver, &smoother, msg, ws, hard, workers); err != nil {
+		if err := solveWeightSet(solver, &smoother, acc, ws, workers); err != nil {
 			// Under the last-good-weights policy a failed solve (e.g. a
 			// singular covariance from degraded data) degrades the CPI
 			// instead of killing the run: beamform with the weights of
 			// the last CPI that solved.
 			if r.cfg.Degrade != DegradeLastGoodWeights || lastGood == nil {
-				return fmt.Errorf("pipexec: %s weights CPI %d: %w", setName(hard), msg.seq, err)
+				return fmt.Errorf("pipexec: %s weights CPI %d: %w", setName(hard), seq, err)
 			}
 			r.stats.weightFallbacks.Add(1)
 			ws.CopyFrom(lastGood)
@@ -915,37 +1072,26 @@ func (r *runner) weightStage(clk *stageClock, in <-chan dopplerMsg, out chan<- *
 			}
 			lastGood.CopyFrom(ws)
 		}
-		ws.Seq = msg.seq
-		if r.pools.releaseDoppler(msg.h) {
-			r.releaseMem(r.dopB)
-		}
-		clk.add(time.Since(t0))
+		ws.Seq = seq
+		clk.addItem(time.Since(t0), true)
 		if !send(r, out, ws) {
 			return nil
 		}
 	}
 }
 
-// solveWeightSet estimates covariances and solves the adaptive weights for
-// one CPI's bin set into ws.
-func (r *runner) solveWeightSet(s *stap.WeightSolver, smoother *stap.CovarianceSmoother, msg dopplerMsg, ws *stap.WeightSet, hard bool, workers int) error {
-	load := r.cfg.testLoad.EasyWeight
-	if hard {
-		load = r.cfg.testLoad.HardWeight
-	}
-	n := len(s.Bins())
-	err := parallel(workers, n, func(widx int, blk cube.Block) error {
-		if err := s.Estimate(widx, msg.h.dc, blk); err != nil {
-			return err
-		}
-		r.stageSleep(load, blk.Len())
-		return nil
-	})
+// solveWeightSet finishes one CPI's accumulated covariances, smooths them
+// and solves the adaptive weights into ws. The accumulator is reset for
+// the next CPI whatever the outcome; the solve has read the covariances
+// by then, and a positive-lambda smoother holds its own copies.
+func solveWeightSet(s *stap.WeightSolver, smoother *stap.CovarianceSmoother, acc *stap.CovAccumulator, ws *stap.WeightSet, workers int) error {
+	defer acc.Reset()
+	est, err := acc.Finish()
 	if err != nil {
 		return err
 	}
-	covs := smoother.Update(s.Covariances())
-	return parallel(workers, n, func(widx int, blk cube.Block) error {
+	covs := smoother.Update(est)
+	return parallel(workers, len(s.Bins()), func(widx int, blk cube.Block) error {
 		return s.Solve(widx, covs, blk, ws)
 	})
 }
@@ -957,13 +1103,14 @@ func setName(hard bool) string {
 	return "easy"
 }
 
-// bfStage beamforms its bin set using weights from the previous delivered
-// CPI (the temporal dependency), partitioned by Doppler bins. "Previous
-// delivered" rather than "seq-1": when a skip policy drops a CPI the
-// weight stream simply misses that sequence number, and beamforming
-// continues from the weights of the last CPI that made it through. The
-// first CPI beamforms with the conventional weights of the bin set's
-// solver.
+// bfStage beamforms its bin set, band by band, into the CPI's beam cube
+// using weights from the previous delivered CPI (the temporal
+// dependency), partitioned by Doppler bins. "Previous delivered" rather
+// than "seq-1": when a skip policy drops a CPI the weight stream simply
+// misses that sequence number, and beamforming continues from the
+// weights of the last CPI that made it through. The first CPI beamforms
+// with the conventional weights of the bin set's solver. The CPI goes on
+// to pulse compression after its last band.
 func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *stap.WeightSet, out chan<- beamMsg, pool *weightPool, solver *stap.WeightSolver, slot int) error {
 	load := r.cfg.testLoad.EasyBF
 	if slot == tsHardBF {
@@ -972,45 +1119,57 @@ func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *
 	bins := pool.bins
 	cur := pool.get()
 	solver.Conventional(cur)
-	first := true
+	// owed is set once a CPI has been beamformed: the weight stage then
+	// owes its weights, which the next CPI's first band takes over.
+	owed := false
 	var prevSeq uint64
 	for {
 		msg, ok := recv(r, in)
 		if !ok {
 			return nil
 		}
-		if !first {
+		seq, lo, hi := r.bands.span(msg.item)
+		if msg.drop {
+			clk.addItem(0, true)
+			if !send(r, out, beamMsg{seq: seq, bc: msg.bc, drop: true}) {
+				return nil
+			}
+			continue
+		}
+		if lo == 0 && owed {
 			ws, ok := recv(r, weights)
 			if !ok {
 				return nil
 			}
 			if ws.Seq != prevSeq {
-				return fmt.Errorf("pipexec: beamforming CPI %d got weights for CPI %d, want CPI %d", msg.seq, ws.Seq, prevSeq)
+				return fmt.Errorf("pipexec: beamforming CPI %d got weights for CPI %d, want CPI %d", seq, ws.Seq, prevSeq)
 			}
 			// The previous CPI's beamforming has finished with cur: hand it
 			// back to the weight stage to solve a later CPI into.
 			pool.put(cur)
 			cur = ws
+			owed = false
 		}
-		first = false
-		prevSeq = msg.seq
 		workers := r.workersFor(slot)
 		t0 := time.Now()
 		err := parallel(workers, len(bins), func(_ int, blk cube.Block) error {
-			if err := stap.Beamform(r.p, msg.h.dc, cur, bins[blk.Lo:blk.Hi], msg.bc); err != nil {
+			if err := stap.BeamformBand(r.p, msg.h.dc, cur, bins[blk.Lo:blk.Hi], lo, msg.bc); err != nil {
 				return err
 			}
 			r.stageSleep(load, blk.Len())
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("pipexec: beamform CPI %d: %w", msg.seq, err)
+			return fmt.Errorf("pipexec: beamform CPI %d: %w", seq, err)
 		}
-		if r.pools.releaseDoppler(msg.h) {
-			r.releaseMem(r.dopB)
+		r.releaseDoppler(msg.h)
+		last := hi == r.p.Dims.Ranges
+		clk.addItem(time.Since(t0), last)
+		if !last {
+			continue
 		}
-		clk.add(time.Since(t0))
-		if !send(r, out, beamMsg{seq: msg.seq, bc: msg.bc, start: msg.start}) {
+		owed, prevSeq = true, seq
+		if !send(r, out, beamMsg{seq: seq, bc: msg.bc, start: msg.start}) {
 			return nil
 		}
 	}
@@ -1051,6 +1210,12 @@ func (r *runner) pcStage(clk *stageClock, in <-chan beamMsg, out chan<- beamMsg)
 			continue
 		}
 		delete(firstHalf, msg.seq)
+		if msg.drop {
+			// Both BF stages are done with a dropped CPI's beam cube.
+			r.pools.putBeam(msg.bc)
+			r.releaseMem(r.beamB)
+			continue
+		}
 		workers := r.workersFor(tsPulseComp)
 		for len(comps) < workers {
 			comps = append(comps, comps[0].Clone())

@@ -196,9 +196,11 @@ type FileSource struct {
 	cubeNews atomic.Int64
 
 	// bandHdrs caches each staging file's parsed header + chunk table for
-	// the banded read path (ReadBand); bandMu guards it.
-	bandMu   sync.Mutex
-	bandHdrs map[string]*cube.Header
+	// the banded read path (ReadBand); bandMu guards it. bandScratch pools
+	// the band reads' chunk masks and run buffers.
+	bandMu      sync.Mutex
+	bandHdrs    map[string]*cube.Header
+	bandScratch sync.Pool // *bandScratch
 }
 
 // readBuf wraps a pooled staging-file buffer; pooling the wrapper rather
@@ -298,10 +300,12 @@ func NewFileSource(fs *pfs.RealFS, dims cube.Dims, files int) (*FileSource, erro
 	return &FileSource{FS: fs, Dims: dims, Files: files, fileBytes: want}, nil
 }
 
-// filePending is an in-flight fetch: the striped read, then eager verify
-// and decode, run in their own goroutine so fetches deeper in the
-// readahead window make decode progress before the pipeline waits on them.
-type filePending struct {
+// asyncFetch is the PendingCube of the built-in sources: the fetch runs in
+// its own goroutine and closes done when cb or err is set. For a file
+// source that is the striped read, then eager verify and decode, so
+// fetches deeper in the readahead window make decode progress before the
+// pipeline waits on them.
+type asyncFetch struct {
 	done chan struct{}
 	cb   *cube.Cube
 	err  error
@@ -317,7 +321,7 @@ func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 	name := radar.FileName(radar.FileFor(seq, s.Files))
 	tag := int(seq)<<8 | attempt&0xff
 	pend := s.FS.StartAttempt(name, 0, rb.b, tag)
-	p := &filePending{done: make(chan struct{})}
+	p := &asyncFetch{done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
 		// The read buffer is recycled on every exit — failed reads, corrupt
@@ -332,13 +336,13 @@ func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 // Wait implements PendingCube. A corrupt payload that chunk re-reads could
 // not repair surfaces as cube.ErrCorrupt, which the pipeline's retry layer
 // treats as retryable (whole-file re-read).
-func (p *filePending) Wait() (*cube.Cube, error) {
+func (p *asyncFetch) Wait() (*cube.Cube, error) {
 	<-p.done
 	return p.cb, p.err
 }
 
 // Ready implements PendingCube.
-func (p *filePending) Ready() bool {
+func (p *asyncFetch) Ready() bool {
 	select {
 	case <-p.done:
 		return true
@@ -455,41 +459,15 @@ var (
 	_ CubeSource = (*MemSource)(nil)
 )
 
-type memPending struct {
-	cb  *cube.Cube
-	err error
-}
-
 // Begin implements CubeSource, generating eagerly in a goroutine; a
 // generator has no faults to re-draw, so attempt is ignored.
 func (s *MemSource) Begin(seq uint64, attempt int) PendingCube {
-	p := &memPending{}
-	done := make(chan struct{})
+	p := &asyncFetch{done: make(chan struct{})}
 	go func() {
+		defer close(p.done)
 		p.cb, p.err = s.Generate(seq)
-		close(done)
 	}()
-	return &waitPending{p: p, done: done}
-}
-
-type waitPending struct {
-	p    *memPending
-	done chan struct{}
-}
-
-func (w *waitPending) Wait() (*cube.Cube, error) {
-	<-w.done
-	return w.p.cb, w.p.err
-}
-
-// Ready implements PendingCube.
-func (w *waitPending) Ready() bool {
-	select {
-	case <-w.done:
-		return true
-	default:
-		return false
-	}
+	return p
 }
 
 // ScenarioSource builds a MemSource over a radar scenario.

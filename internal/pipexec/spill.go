@@ -9,8 +9,8 @@ import (
 )
 
 // Spill tier: when the budget cannot admit a new reservation, cold landed
-// cubes — fetched by the readahead window but not yet consumed by the
-// Doppler stage — are evicted to the striped store in the v3 chunked
+// items — cubes, or band slabs, fetched by the readahead window but not
+// yet consumed by the Doppler stage — are evicted to the striped store in the v3 chunked
 // format and re-read (with the same per-chunk CRC verify + partial-repair
 // machinery as dataset ingest) when the pipeline finally asks for them.
 // Eviction order is newest-first: the coldest cube is the one the FIFO
@@ -30,7 +30,7 @@ type SpillConfig struct {
 	// ChunkSize is the v3 chunk granularity of spill files (values < 8 or
 	// not multiples of 8 mean cube.DefaultChunkSize).
 	ChunkSize int
-	// Prefix names the spill files: "<prefix>_<seq>.dat" ("spill" when
+	// Prefix names the spill files: "<prefix>_<item>.dat" ("spill" when
 	// empty).
 	Prefix string
 	// Retries bounds per-chunk re-read rounds when a reload hits a corrupt
@@ -59,20 +59,19 @@ func (c *SpillConfig) retries() int {
 	return c.Retries
 }
 
-// spiller tracks landed-but-unconsumed cubes and evicts them under budget
+// spiller tracks landed-but-unconsumed items and evicts them under budget
 // pressure.
 type spiller struct {
-	r         *runner
-	fs        *pfs.RealFS
-	chunk     int
-	prefix    string
-	retries   int
-	fileBytes int64
+	r       *runner
+	fs      *pfs.RealFS
+	chunk   int
+	prefix  string
+	retries int
 
 	mu     sync.Mutex
 	landed map[uint64]*spillSlot
 
-	bufs sync.Pool // *readBuf, spill-file sized
+	bufs sync.Pool // *readBuf, sized for a full-band item's spill file
 }
 
 func newSpiller(r *runner, cfg *SpillConfig) (*spiller, error) {
@@ -87,27 +86,39 @@ func newSpiller(r *runner, cfg *SpillConfig) (*spiller, error) {
 		retries: cfg.retries(),
 		landed:  make(map[uint64]*spillSlot),
 	}
-	sp.fileBytes = cube.FileBytesChunked(r.p.Dims, sp.chunk)
 	return sp, nil
 }
 
-func (sp *spiller) fileName(seq uint64) string {
-	return fmt.Sprintf("%s_%d.dat", sp.prefix, seq)
+func (sp *spiller) fileName(item uint64) string {
+	return fmt.Sprintf("%s_%d.dat", sp.prefix, item)
 }
 
-func (sp *spiller) getBuf() *readBuf {
+// dims returns the geometry of item's slab.
+func (sp *spiller) dims(item uint64) cube.Dims {
+	d := sp.r.p.Dims
+	d.Ranges = sp.r.bands.width(item)
+	return d
+}
+
+// getBuf leases a buffer holding item's spill file; the returned slice is
+// exactly the file's size.
+func (sp *spiller) getBuf(item uint64) (*readBuf, []byte) {
+	n := cube.FileBytesChunked(sp.dims(item), sp.chunk)
 	if v := sp.bufs.Get(); v != nil {
-		return v.(*readBuf)
+		rb := v.(*readBuf)
+		return rb, rb.b[:n]
 	}
-	return &readBuf{b: make([]byte, sp.fileBytes)}
+	full := sp.dims(0)
+	rb := &readBuf{b: make([]byte, cube.FileBytesChunked(full, sp.chunk))}
+	return rb, rb.b[:n]
 }
 
 // track wraps an in-flight fetch: once the inner read lands, the slot
 // registers itself as spillable and kicks the budget so a stalled waiter
 // re-examines pressure. The read stage waits on the slot instead of the
 // inner pending.
-func (sp *spiller) track(seq uint64, inner PendingCube) *spillSlot {
-	s := &spillSlot{sp: sp, seq: seq, done: make(chan struct{})}
+func (sp *spiller) track(item uint64, inner PendingCube) *spillSlot {
+	s := &spillSlot{sp: sp, item: item, done: make(chan struct{})}
 	go func() {
 		cb, err := inner.Wait()
 		s.mu.Lock()
@@ -115,7 +126,7 @@ func (sp *spiller) track(seq uint64, inner PendingCube) *spillSlot {
 		s.mu.Unlock()
 		if err == nil {
 			sp.mu.Lock()
-			sp.landed[seq] = s
+			sp.landed[item] = s
 			sp.mu.Unlock()
 		}
 		close(s.done)
@@ -140,18 +151,18 @@ func (sp *spiller) free(need int64) int64 {
 }
 
 // takeColdest removes and returns the landed slot with the highest
-// sequence number — the one the FIFO window consumes last.
+// item index — the one the FIFO window consumes last.
 func (sp *spiller) takeColdest() *spillSlot {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	var pick *spillSlot
 	for _, s := range sp.landed {
-		if pick == nil || s.seq > pick.seq {
+		if pick == nil || s.item > pick.item {
 			pick = s
 		}
 	}
 	if pick != nil {
-		delete(sp.landed, pick.seq)
+		delete(sp.landed, pick.item)
 	}
 	return pick
 }
@@ -165,9 +176,9 @@ func (sp *spiller) spill(s *spillSlot) int64 {
 	if s.cb == nil || s.err != nil {
 		return 0
 	}
-	rb := sp.getBuf()
-	cube.EncodeChunked(s.cb, s.seq, sp.chunk, rb.b)
-	if err := sp.fs.WriteFile(sp.fileName(s.seq), rb.b); err != nil {
+	rb, buf := sp.getBuf(s.item)
+	cube.EncodeChunked(s.cb, s.item, sp.chunk, buf)
+	if err := sp.fs.WriteFile(sp.fileName(s.item), buf); err != nil {
 		sp.bufs.Put(rb)
 		return 0
 	}
@@ -176,19 +187,20 @@ func (sp *spiller) spill(s *spillSlot) int64 {
 	s.cb = nil
 	s.spilled = true
 	sp.r.stats.spills.Add(1)
-	sp.r.stats.spillBytes.Add(sp.fileBytes)
-	if !sp.r.stealCubeCharge(s.seq) {
+	sp.r.stats.spillBytes.Add(int64(len(buf)))
+	if !sp.r.stealCubeCharge(s.item) {
 		return 0 // charge already gone (dropped CPI): no budget bytes freed
 	}
-	sp.r.releaseMem(sp.r.cubeB)
-	return sp.r.cubeB
+	slabB, _ := sp.r.itemBytes(sp.r.bands.width(s.item))
+	sp.r.releaseMem(slabB)
+	return slabB
 }
 
 // spillSlot is a PendingCube that may have been evicted between landing
 // and consumption; Wait transparently reloads evicted cubes.
 type spillSlot struct {
 	sp   *spiller
-	seq  uint64
+	item uint64
 	done chan struct{}
 
 	mu      sync.Mutex
@@ -208,18 +220,18 @@ func (s *spillSlot) Ready() bool {
 }
 
 // Wait implements PendingCube. A slot that was spilled re-acquires the
-// cube's budget charge (at the read priority of its own sequence number,
-// so older CPIs still win) and reloads it from the striped store with
+// slab's budget charge (at the read priority of its own item, so older
+// items still win) and reloads it from the striped store with
 // chunk-level verify and repair.
 func (s *spillSlot) Wait() (*cube.Cube, error) {
 	<-s.done
 	sp := s.sp
-	// Deregister: once the pipeline is waiting on this CPI it is the
+	// Deregister: once the pipeline is waiting on this item it is the
 	// window head, never a cold-eviction candidate. A retry slot for the
-	// same seq may have replaced us in the map — only remove ourselves.
+	// same item may have replaced us in the map — only remove ourselves.
 	sp.mu.Lock()
-	if sp.landed[s.seq] == s {
-		delete(sp.landed, s.seq)
+	if sp.landed[s.item] == s {
+		delete(sp.landed, s.item)
 	}
 	sp.mu.Unlock()
 	s.mu.Lock()
@@ -243,43 +255,46 @@ func (s *spillSlot) Wait() (*cube.Cube, error) {
 	// again. On a reload error the charge is kept: the pipeline's retry
 	// policy re-reads the CPI from its staging file, and that fresh cube
 	// consumes this same charge.
-	if err := r.acquireMem(r.cubeB, readPri(s.seq)); err != nil {
+	slabB, _ := r.itemBytes(r.bands.width(s.item))
+	if err := r.acquireMem(slabB, readPri(s.item)); err != nil {
 		return nil, err
 	}
-	r.setCubeCharged(s.seq)
-	cb, err := sp.reload(s.seq)
+	r.setCubeCharged(s.item)
+	cb, n, err := sp.reload(s.item)
 	if err != nil {
 		return nil, err
 	}
 	s.cb = cb
 	r.stats.reloads.Add(1)
-	r.stats.reloadBytes.Add(sp.fileBytes)
+	r.stats.reloadBytes.Add(n)
 	return cb, nil
 }
 
-// reload reads a spilled cube back, verifying per-chunk CRCs and repairing
-// corrupt chunks with individual re-reads, exactly like dataset ingest.
-func (sp *spiller) reload(seq uint64) (*cube.Cube, error) {
-	name := sp.fileName(seq)
-	tag := int(seq)<<8 | 0x7f // spill reload tag space, distinct from ingest attempts
-	rb := sp.getBuf()
+// reload reads a spilled item back, verifying per-chunk CRCs and
+// repairing corrupt chunks with individual re-reads, exactly like dataset
+// ingest. It returns the slab and the spill file's size.
+func (sp *spiller) reload(item uint64) (*cube.Cube, int64, error) {
+	name := sp.fileName(item)
+	seq := sp.r.bands.seq(item)
+	tag := int(item)<<8 | 0x7f // spill reload tag space, distinct from ingest attempts
+	rb, buf := sp.getBuf(item)
 	defer sp.bufs.Put(rb)
-	if err := sp.fs.ReadAtAttempt(name, 0, rb.b, tag); err != nil {
-		return nil, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
+	if err := sp.fs.ReadAtAttempt(name, 0, buf, tag); err != nil {
+		return nil, 0, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
 	}
-	h, err := cube.ParseHeader(rb.b)
+	h, err := cube.ParseHeader(buf)
 	if err != nil {
-		return nil, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
+		return nil, 0, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
 	}
-	if h.Dims != sp.r.p.Dims {
-		return nil, fmt.Errorf("pipexec: spill file %s holds %v, expected %v", name, h.Dims, sp.r.p.Dims)
+	if want := sp.dims(item); h.Dims != want {
+		return nil, 0, fmt.Errorf("pipexec: spill file %s holds %v, expected %v", name, h.Dims, want)
 	}
-	payload := rb.b[h.PayloadOffset():]
-	cb := cube.New(sp.r.p.Dims)
+	payload := buf[h.PayloadOffset():]
+	cb := cube.New(h.Dims)
 	var bad []int
 	bad, err = cube.VerifyChunks(&h, payload, 0, h.Chunks(), bad)
 	if err != nil {
-		return nil, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
+		return nil, 0, fmt.Errorf("pipexec: reloading spilled CPI %d: %w", seq, err)
 	}
 	// VerifyChunks returns the bad set sorted; decode the clean chunks now
 	// and repair the bad ones individually below.
@@ -306,10 +321,10 @@ func (sp *spiller) reload(seq uint64) (*cube.Cube, error) {
 		bad = remaining
 	}
 	if len(bad) > 0 {
-		return nil, fmt.Errorf("pipexec: reloading spilled CPI %d: %w: %d of %d chunks unrecoverable (first: chunk %d)",
+		return nil, 0, fmt.Errorf("pipexec: reloading spilled CPI %d: %w: %d of %d chunks unrecoverable (first: chunk %d)",
 			seq, cube.ErrCorrupt, len(bad), h.Chunks(), bad[0])
 	}
-	return cb, nil
+	return cb, int64(len(buf)), nil
 }
 
 var _ PendingCube = (*spillSlot)(nil)

@@ -31,31 +31,15 @@ type StreamHandle struct {
 // Stream starts the pipeline against src and returns immediately. The
 // caller must drain Results and call Stop exactly once when finished.
 func Stream(ctx context.Context, cfg Config, src CubeSource) (*StreamHandle, error) {
-	cfg, err := withAutoTuneDefaults(cfg, src)
+	cfg.BandRanges = 0 // a CubeSource delivers whole cubes
+	r, buf, err := prepare(ctx, cfg, src, math.MaxInt32)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	buf := cfg.Buffer
-	if buf < 1 {
-		buf = 1
-	}
-	r := newRunner(cfg, src, math.MaxInt32)
-	if err := r.initBudget(); err != nil {
-		return nil, err
-	}
-	if err := r.setup(); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	r.ctx, r.cancel = ctx, cancel
-
 	h := &StreamHandle{
 		r:       r,
 		results: make(chan CPIResult, buf),
-		cancel:  cancel,
+		cancel:  r.cancel,
 		start:   time.Now(),
 		done:    make(chan struct{}),
 	}

@@ -216,6 +216,33 @@ func TestRandomRebalanceScheduleDeterminism(t *testing.T) {
 			}
 		}
 	}
+	// The same schedules over banded runs: swaps land between CPIs while
+	// band items of the next CPI are already in flight, and the setter's
+	// readahead slot resizes the window of band reads.
+	for _, band := range []int{1, 7} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := base
+			cfg.BandRanges = band
+			cfg.SeparateIO = true
+			cfg.ReadAhead = 4
+			rng := rand.New(rand.NewSource(seed))
+			cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
+				set(rng.Intn(8), 1+rng.Intn(4))
+			}
+			res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+			if err != nil {
+				t.Fatalf("band %d seed %d: %v", band, seed, err)
+			}
+			if len(res.CPIs) != n {
+				t.Fatalf("band %d seed %d: %d CPIs, want %d", band, seed, len(res.CPIs), n)
+			}
+			for k, c := range res.CPIs {
+				if !sameDetections(c.Detections, want[k]) {
+					t.Errorf("band %d seed %d CPI %d: detections diverged under rebalance schedule", band, seed, k)
+				}
+			}
+		}
+	}
 }
 
 func TestStageTimeStats(t *testing.T) {

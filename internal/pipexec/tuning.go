@@ -154,7 +154,7 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 		// on budget-stalled configurations.
 		maxRA := maxReadAhead
 		if lim := r.budget.PathLimit(); lim > 0 && r.cubeB > 0 {
-			if cap := int((lim-MinResidency(r.p))/r.cubeB) + 1; cap < maxRA {
+			if cap := int((lim-BandedMinResidency(r.p, r.bands.band))/r.cubeB) + 1; cap < maxRA {
 				maxRA = cap
 			}
 			if maxRA < 1 {

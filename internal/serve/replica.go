@@ -246,7 +246,6 @@ func replicaConfig(cfg Config) pipexec.Config {
 		Params:        cfg.Params,
 		Workers:       cfg.Workers,
 		CombinePCCFAR: cfg.CombinePCCFAR,
-		Buffer:        cfg.Buffer,
 		// Each replica gets its own controller instance (tune.Controller
 		// is single-run state), so a replica pool converges per replica
 		// against its own measured load.

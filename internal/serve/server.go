@@ -52,8 +52,6 @@ type Config struct {
 	// admission-control depth. A submit that finds no free slot is
 	// rejected with CodeOverloaded. Values < 1 mean 4 per replica.
 	MaxInFlight int
-	// Buffer is each replica's inter-stage channel depth.
-	Buffer int
 	// RepairRounds bounds the chunk re-request rounds per submitted CPI
 	// before it is rejected as corrupt (values < 1 mean 2).
 	RepairRounds int

@@ -105,18 +105,22 @@ func NewCovAccumulator(p *Params, bins []int, hard bool) (*CovAccumulator, error
 		bins:  bins,
 		hard:  hard,
 		gates: trainingGates(p.Dims.Ranges, train),
-		covs:  make([]*linalg.Matrix, len(bins)),
 		pend:  make([][]complex128, len(bins)),
 		fill:  make([]int, len(bins)),
 	}
 	a.inv = 1 / float64(len(a.gates))
-	for i, d := range bins {
+	total := 0
+	for _, d := range bins {
 		if p.IsHard(d) != hard {
 			return nil, fmt.Errorf("stap: bin %d is not in the %s set", d, setName(hard))
 		}
-		dof := p.DoF(d)
-		a.covs[i] = linalg.NewMatrix(dof, dof)
-		a.pend[i] = make([]complex128, covPanelGates*dof)
+		total += covPanelGates * p.DoF(d)
+	}
+	a.covs = squareMatrices(len(bins), func(i int) int { return p.DoF(bins[i]) })
+	slab := make([]complex128, total)
+	for i, d := range bins {
+		n := covPanelGates * p.DoF(d)
+		a.pend[i], slab = slab[:n:n], slab[n:]
 	}
 	return a, nil
 }

@@ -86,22 +86,42 @@ func NewWeightSolver(p *Params, bins []int, hard bool) (*WeightSolver, error) {
 		dof:   dof,
 		gates: trainingGates(p.Dims.Ranges, trainCount(p, hard)),
 		steer: make([][][]complex128, len(bins)),
-		covs:  make([]*linalg.Matrix, len(bins)),
 	}
 	slab := make([]complex128, len(bins)*len(p.Beams)*dof)
+	rows := make([][]complex128, len(bins)*len(p.Beams))
 	for i, d := range bins {
 		if p.IsHard(d) != hard {
 			return nil, fmt.Errorf("stap: bin %d is not in the %s set", d, setName(hard))
 		}
-		s.steer[i] = make([][]complex128, len(p.Beams))
+		s.steer[i], rows = rows[:len(p.Beams):len(p.Beams)], rows[len(p.Beams):]
 		for b, u := range p.Beams {
 			s.steer[i][b], slab = slab[:dof:dof], slab[dof:]
 			p.SteeringInto(s.steer[i][b], u, d)
 		}
-		s.covs[i] = linalg.NewMatrix(dof, dof)
 	}
+	s.covs = squareMatrices(len(bins), func(int) int { return dof })
 	s.Grow(1)
 	return s, nil
+}
+
+// squareMatrices builds n zero square matrices, matrix i of the given
+// order, backed by one data slab: a bin set's matrices then cost three
+// allocations instead of two per bin.
+func squareMatrices(n int, order func(i int) int) []*linalg.Matrix {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += order(i) * order(i)
+	}
+	data := make([]complex128, total)
+	mats := make([]linalg.Matrix, n)
+	out := make([]*linalg.Matrix, n)
+	for i := range mats {
+		o := order(i)
+		mats[i] = linalg.Matrix{Rows: o, Cols: o, Data: data[: o*o : o*o]}
+		data = data[o*o:]
+		out[i] = &mats[i]
+	}
+	return out
 }
 
 // Bins returns the solver's bin set.
