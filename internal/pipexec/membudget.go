@@ -28,11 +28,11 @@ import (
 // runs to completion and frees its bytes. See DESIGN.md §14.
 
 // MemCosts returns the tracked byte cost of the three per-CPI slabs: the
-// input cube (complex64 samples), the Doppler cube (complex128 snapshots),
-// and the beam cube (complex128 profiles).
+// input cube (complex64 samples), the Doppler cube (complex128 snapshots,
+// sized by stap's layout), and the beam cube (complex128 profiles).
 func MemCosts(p *stap.Params) (cubeB, dopB, beamB int64) {
 	cubeB = p.Dims.Bytes()
-	dopB = int64(p.Bins()) * int64(p.Dims.Ranges) * int64(p.StaggerCount()*p.Dims.Channels) * 16
+	dopB = stap.DopplerBytes(p, p.Dims.Ranges)
 	beamB = int64(len(p.Beams)) * int64(p.Bins()) * int64(p.Dims.Ranges) * 16
 	return
 }

@@ -339,3 +339,41 @@ func TestBudgetCapsAutoTuner(t *testing.T) {
 		t.Errorf("tuner grew decode workers to %d past the budget cap %d", res.Stats.FinalDecodeWorkers, maxRA)
 	}
 }
+
+// TestMemChargesMatchSlabsAndPaperVolumes ties the budget's Doppler
+// charge to the slab stap actually allocates and to the paper's
+// Doppler-to-beamforming volume (e·R·C + h·R·K·C samples: complex128 in
+// memory, complex64 on the wire), at the ledger's three geometries — so
+// the high-water counter means "bytes of live slabs".
+func TestMemChargesMatchSlabsAndPaperVolumes(t *testing.T) {
+	for _, g := range []struct {
+		s    *radar.Scenario
+		band int
+	}{
+		{radar.PaperScenario(), 0},
+		{radar.SmallTestScenario(), 0},
+		{&radar.Scenario{Dims: cube.Dims{Channels: 8, Pulses: 65, Ranges: 512}, PulseLen: 16, Bandwidth: 0.85}, 64},
+	} {
+		p := stap.DefaultParams(g.s.Dims)
+		p.PulseLen = g.s.PulseLen
+		p.Bandwidth = g.s.Bandwidth
+		cubeB, dopB, beamB := MemCosts(&p)
+		if slab := 16 * int64(len(stap.NewDopplerCube(&p).Data)); dopB != slab {
+			t.Errorf("%v: Doppler charge %d B, slab %d B", p.Dims, dopB, slab)
+		}
+		perGate := BandedMinResidency(&p, 1) - beamB - cubeB/int64(p.Dims.Ranges)
+		if slab := 16 * int64(len(stap.NewDopplerCubeBand(&p, 1).Data)); perGate != slab {
+			t.Errorf("%v: per-gate Doppler residency %d B, one-gate slab %d B", p.Dims, perGate, slab)
+		}
+		if g.band > 0 {
+			want := beamB + cubeB/int64(p.Dims.Ranges)*int64(g.band) + 16*int64(len(stap.NewDopplerCubeBand(&p, g.band).Data))
+			if got := BandedMinResidency(&p, g.band); got != want {
+				t.Errorf("%v: band-%d residency %d B, slabs %d B", p.Dims, g.band, got, want)
+			}
+		}
+		w := stap.ComputeWorkloads(&p)
+		if paper := int64(2 * (w.DopplerToBF[0] + w.DopplerToBF[1])); dopB != paper {
+			t.Errorf("%v: Doppler charge %d B, paper volume 2·DopplerToBF = %d B", p.Dims, dopB, paper)
+		}
+	}
+}

@@ -23,14 +23,13 @@ import (
 // NewDopplerCubeBand allocates a Doppler cube covering band range gates
 // instead of the full extent — the banded pipeline's reusable band slab.
 func NewDopplerCubeBand(p *Params, band int) *DopplerCube {
-	bins := p.Bins()
-	sl := p.StaggerCount() * p.Dims.Channels
+	off := snapOffsets(p)
 	return &DopplerCube{
-		Bins:     bins,
+		Bins:     p.Bins(),
 		Ranges:   band,
 		Channels: p.Dims.Channels,
-		SnapLen:  sl,
-		Data:     make([]complex128, bins*band*sl),
+		Data:     make([]complex128, band*off[len(off)-1]),
+		off:      off,
 	}
 }
 
@@ -49,9 +48,7 @@ func DopplerFilterBand(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCube
 	if rb.Lo < 0 || rb.Hi > band || rb.Lo > rb.Hi {
 		return fmt.Errorf("stap: band block %v outside [0,%d]", rb, band)
 	}
-	l := p.Bins()
-	k := p.StaggerCount()
-	if out.SnapLen != k*p.Dims.Channels || out.Bins != l || out.Ranges != band {
+	if out.Ranges != band || !out.laidOutFor(p) {
 		return fmt.Errorf("stap: band output cube geometry does not match params")
 	}
 	if sc == nil {
@@ -146,7 +143,7 @@ func (a *CovAccumulator) Reset() {
 // still converge to the same value out of order, but floating-point
 // addition would reassociate).
 func (a *CovAccumulator) AddBand(dc *DopplerCube, lo int, bb cube.Block) error {
-	if dc.Channels != a.p.Dims.Channels || dc.SnapLen != a.p.StaggerCount()*a.p.Dims.Channels {
+	if !dc.laidOutFor(a.p) {
 		return fmt.Errorf("stap: band doppler cube geometry mismatch")
 	}
 	if bb.Lo < 0 || bb.Hi > len(a.bins) || bb.Lo > bb.Hi {
@@ -162,11 +159,10 @@ func (a *CovAccumulator) AddBand(dc *DopplerCube, lo int, bb cube.Block) error {
 	}
 	for i := bb.Lo; i < bb.Hi; i++ {
 		d := a.bins[i]
-		dof := a.p.DoF(d)
+		dof := dc.dof(d)
 		pend := a.pend[i]
 		for _, g := range a.gates[g0:g1] {
-			snap := dc.Snapshot(d, g-lo)[:dof]
-			copy(pend[a.fill[i]*dof:(a.fill[i]+1)*dof], snap)
+			copy(pend[a.fill[i]*dof:(a.fill[i]+1)*dof], dc.Snapshot(d, g-lo))
 			a.fill[i]++
 			if a.fill[i] == covPanelGates {
 				a.covs[i].AccumulatePanel(pend, covPanelGates, a.inv)
@@ -215,11 +211,14 @@ func BeamformBand(p *Params, dc *DopplerCube, ws *WeightSet, bins []int, lo int,
 	if lo < 0 || lo+dc.Ranges > p.Dims.Ranges {
 		return fmt.Errorf("stap: band [%d,%d) outside range extent %d", lo, lo+dc.Ranges, p.Dims.Ranges)
 	}
+	if !dc.laidOutFor(p) {
+		return fmt.Errorf("stap: band doppler cube geometry mismatch")
+	}
 	if err := validateWeights(p, ws, bins); err != nil {
 		return err
 	}
 	for _, d := range bins {
-		beamformBin(dc, ws.For(d), d, p.DoF(d), lo, out)
+		beamformBin(dc, ws.For(d), d, lo, out)
 	}
 	return nil
 }

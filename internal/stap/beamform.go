@@ -75,27 +75,30 @@ func Beamform(p *Params, dc *DopplerCube, ws *WeightSet, bins []int, out *BeamCu
 	if out.Bins != p.Bins() || out.Ranges != p.Dims.Ranges || out.Beams != len(p.Beams) {
 		return fmt.Errorf("stap: beam cube geometry mismatch")
 	}
+	if err := checkDopplerGeometry(p, dc); err != nil {
+		return err
+	}
 	if err := validateWeights(p, ws, bins); err != nil {
 		return err
 	}
 	for _, d := range bins {
-		beamformBin(dc, ws.For(d), d, p.DoF(d), 0, out)
+		beamformBin(dc, ws.For(d), d, 0, out)
 	}
 	return nil
 }
 
 // beamformBin computes one bin's (Beams x DoF) x (DoF x Ranges) panel
-// product: the bin's snapshots form a contiguous row panel of the Doppler
-// cube, streamed once per strip of up to three beams by the
+// product: the bin's snapshots form a dense row panel of the Doppler cube
+// (stride DoF(d)), streamed once per strip of up to three beams by the
 // linalg.ConjDotPanel kernels — each loaded snapshot feeds every strip
 // accumulator, and each beam's output gates are one contiguous row. The
 // kernels' fused-lane reduction is fixed and platform independent, and is
 // shared by the full-cube and banded paths, so detections are
 // byte-identical across band sizes and worker counts. Output gates start
 // at lo (non-zero for band slabs).
-func beamformBin(dc *DopplerCube, perBeam [][]complex128, d, dof, lo int, out *BeamCube) {
-	sl := dc.SnapLen
-	panel := dc.Data[d*dc.Ranges*sl : (d+1)*dc.Ranges*sl]
+func beamformBin(dc *DopplerCube, perBeam [][]complex128, d, lo int, out *BeamCube) {
+	panel := dc.panel(d)
+	dof := dc.dof(d)
 	stride := out.Bins * out.Ranges
 	dOff := d*out.Ranges + lo
 	n := dc.Ranges
@@ -103,15 +106,15 @@ func beamformBin(dc *DopplerCube, perBeam [][]complex128, d, dof, lo int, out *B
 		o := dOff + b*stride
 		switch len(perBeam) - b {
 		case 1:
-			linalg.ConjDotPanel1(panel, sl, dof, n,
+			linalg.ConjDotPanel1(panel, dof, dof, n,
 				perBeam[b],
 				out.Data[o:o+n])
 		case 2:
-			linalg.ConjDotPanel2(panel, sl, dof, n,
+			linalg.ConjDotPanel2(panel, dof, dof, n,
 				perBeam[b], perBeam[b+1],
 				out.Data[o:o+n], out.Data[o+stride:o+stride+n])
 		default:
-			linalg.ConjDotPanel3(panel, sl, dof, n,
+			linalg.ConjDotPanel3(panel, dof, dof, n,
 				perBeam[b], perBeam[b+1], perBeam[b+2],
 				out.Data[o:o+n], out.Data[o+stride:o+stride+n], out.Data[o+2*stride:o+2*stride+n])
 		}

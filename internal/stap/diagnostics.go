@@ -17,6 +17,9 @@ import (
 // E|w^H x|^2 over all range gates and beams for the listed Doppler bins —
 // the residual interference-plus-noise floor after adaptation.
 func MeanOutputPower(p *Params, dc *DopplerCube, ws *WeightSet, bins []int) (float64, error) {
+	if !dc.laidOutFor(p) {
+		return 0, fmt.Errorf("stap: doppler cube geometry mismatch")
+	}
 	var sum float64
 	var n int
 	for _, d := range bins {
@@ -31,7 +34,7 @@ func MeanOutputPower(p *Params, dc *DopplerCube, ws *WeightSet, bins []int) (flo
 				return 0, fmt.Errorf("stap: bin %d beam %d weight length %d, want %d", d, b, len(w), dof)
 			}
 			for r := 0; r < dc.Ranges; r++ {
-				y := linalg.Dot(w, dc.Snapshot(d, r)[:dof])
+				y := linalg.Dot(w, dc.Snapshot(d, r))
 				sum += real(y)*real(y) + imag(y)*imag(y)
 				n++
 			}

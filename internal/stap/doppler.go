@@ -7,45 +7,99 @@ import (
 	"stapio/internal/signal"
 )
 
-// DopplerCube holds the output of Doppler filter processing: for each
-// Doppler bin and range gate, the stacked space-time snapshot
-// [stagger0 ch0..chC-1, stagger1 ch0..chC-1, ...]. Snapshots are
-// contiguous in memory — layout is Data[((bin*Ranges)+r)*SnapLen + k] — so
-// beamforming and covariance estimation stream over them without
-// gathering.
+// DopplerCube holds the output of Doppler filter processing in a compact
+// per-bin layout: each bin stores exactly the snapshots its adaptive
+// problem reads. Bin d's panel is Ranges snapshots of DoF(d) values —
+// stagger 0 only (Channels values) for an easy bin, all K staggers
+// (K*Channels values, [stagger0 ch0..chC-1, stagger1 ch0..chC-1, ...])
+// for a hard bin — and the panels follow each other in bin order:
+//
+//	Data[Off(d)*Ranges + r*DoF(d) + st*Channels + ch],  Off(d) = Σ_{d'<d} DoF(d')
+//
+// so a cube holds Ranges*Σ_d DoF(d) values, the paper's Doppler-to-
+// beamforming volume (e·R·C + h·R·K·C). Snapshots and bin panels are
+// contiguous, so beamforming and covariance estimation stream over them
+// without gathering.
 type DopplerCube struct {
 	Bins, Ranges, Channels int
-	// SnapLen = StaggerCount*Channels, the full snapshot length (hard-bin
-	// DoF; easy bins use the first Channels entries).
-	SnapLen int
-	Data    []complex128
+	Data                   []complex128
 	// Seq is the CPI sequence number the cube was filtered from.
 	Seq uint64
+	// off[d] is Off(d) above (len Bins+1): bin d's panel starts at
+	// off[d]*Ranges and its snapshots are off[d+1]-off[d] values long.
+	off []int
+}
+
+// snapOffsets returns the prefix sums of DoF over p's bins (len Bins+1):
+// the DopplerCube layout table.
+func snapOffsets(p *Params) []int {
+	off := make([]int, p.Bins()+1)
+	for d := 0; d < p.Bins(); d++ {
+		off[d+1] = off[d] + p.DoF(d)
+	}
+	return off
+}
+
+// snapValues returns Σ_d DoF(d), the values one range gate of a Doppler
+// cube holds.
+func snapValues(p *Params) int {
+	n := 0
+	for d := 0; d < p.Bins(); d++ {
+		n += p.DoF(d)
+	}
+	return n
+}
+
+// DopplerBytes returns the size in bytes of a Doppler cube covering
+// ranges range gates — what NewDopplerCubeBand(p, ranges) allocates.
+func DopplerBytes(p *Params, ranges int) int64 {
+	return int64(ranges) * int64(snapValues(p)) * 16
 }
 
 // NewDopplerCube allocates a zeroed Doppler cube for the given parameters.
-func NewDopplerCube(p *Params) *DopplerCube {
-	bins := p.Bins()
-	sl := p.StaggerCount() * p.Dims.Channels
-	return &DopplerCube{
-		Bins:     bins,
-		Ranges:   p.Dims.Ranges,
-		Channels: p.Dims.Channels,
-		SnapLen:  sl,
-		Data:     make([]complex128, bins*p.Dims.Ranges*sl),
-	}
+func NewDopplerCube(p *Params) *DopplerCube { return NewDopplerCubeBand(p, p.Dims.Ranges) }
+
+// dof returns the snapshot length of bin d.
+func (dc *DopplerCube) dof(d int) int { return dc.off[d+1] - dc.off[d] }
+
+// panel returns bin d's Ranges x DoF(d) snapshot panel.
+func (dc *DopplerCube) panel(d int) []complex128 {
+	return dc.Data[dc.off[d]*dc.Ranges : dc.off[d+1]*dc.Ranges]
 }
 
 // Snapshot returns the space-time snapshot at (bin, range) as a slice
-// aliasing the cube storage (length SnapLen).
+// aliasing the cube storage, DoF(bin) values long.
 func (dc *DopplerCube) Snapshot(bin, r int) []complex128 {
-	off := ((bin * dc.Ranges) + r) * dc.SnapLen
-	return dc.Data[off : off+dc.SnapLen]
+	n := dc.dof(bin)
+	o := dc.off[bin]*dc.Ranges + r*n
+	return dc.Data[o : o+n : o+n]
 }
 
-// At returns the Doppler output for (bin, stagger, channel, range).
+// At returns the Doppler output for (bin, stagger, channel, range). An
+// easy bin stores stagger 0 only: asking it for a later stagger panics
+// rather than read a neighbouring snapshot.
 func (dc *DopplerCube) At(bin, stagger, ch, r int) complex128 {
-	return dc.Snapshot(bin, r)[stagger*dc.Channels+ch]
+	snap := dc.Snapshot(bin, r)
+	if stagger < 0 || (stagger+1)*dc.Channels > len(snap) || ch < 0 || ch >= dc.Channels {
+		panic(fmt.Sprintf("stap: DopplerCube.At: bin %d stores %d stagger(s) of %d channels, no (stagger %d, channel %d)",
+			bin, len(snap)/dc.Channels, dc.Channels, stagger, ch))
+	}
+	return snap[stagger*dc.Channels+ch]
+}
+
+// laidOutFor reports whether dc's bins and snapshot lengths are p's, so
+// the kernels may index it with p's DoF (the range extent is checked by
+// the caller: full cubes and band slabs differ there).
+func (dc *DopplerCube) laidOutFor(p *Params) bool {
+	if dc.Bins != p.Bins() || dc.Channels != p.Dims.Channels || len(dc.off) != dc.Bins+1 {
+		return false
+	}
+	for d := 0; d < dc.Bins; d++ {
+		if dc.dof(d) != p.DoF(d) {
+			return false
+		}
+	}
+	return true
 }
 
 // dopplerTileBudget bounds the per-worker output staging tile (in bytes):
@@ -57,8 +111,7 @@ const dopplerTileBudget = 128 << 10
 // dopplerTileRanges returns the staging-tile depth for p's geometry: as
 // many range gates as fit the budget, clamped to [1, 8].
 func dopplerTileRanges(p *Params) int {
-	rowBytes := p.Bins() * p.StaggerCount() * p.Dims.Channels * 16
-	rt := dopplerTileBudget / rowBytes
+	rt := dopplerTileBudget / (snapValues(p) * 16)
 	return max(1, min(rt, 8))
 }
 
@@ -82,9 +135,10 @@ type DopplerScratch struct {
 	// c) for the range gate in flight — snapshot order, so assembling one
 	// (bin, range) snapshot reads the buffers in index order.
 	bufs [][]complex128
-	// tile stages rt range gates of output in bin-major order:
-	// tile[(d*rt+ri)*SnapLen+k]. Flushing copies one contiguous run per
-	// bin into the Doppler cube instead of scattering per range gate.
+	// tile stages rt range gates of output in the cube's bin-major
+	// layout: tile[off[d]*rt + ri*DoF(d) + k], off being the cube's DoF
+	// prefix table. Flushing copies one contiguous run per bin into the
+	// Doppler cube instead of scattering per range gate.
 	tile []complex128
 	rt   int
 }
@@ -111,7 +165,7 @@ func NewDopplerScratch(p *Params) *DopplerScratch {
 			sc.bufs[st*c+ch] = make([]complex128, l)
 		}
 	}
-	sc.tile = make([]complex128, l*sc.rt*k*c)
+	sc.tile = make([]complex128, sc.rt*snapValues(p))
 	return sc
 }
 
@@ -121,7 +175,8 @@ func (sc *DopplerScratch) fits(p *Params) bool {
 		len(sc.bufs) == p.StaggerCount()*p.Dims.Channels &&
 		len(sc.cols) == p.Dims.Channels &&
 		len(sc.cols[0]) == p.Dims.Pulses &&
-		sc.rt == dopplerTileRanges(p)
+		sc.rt == dopplerTileRanges(p) &&
+		len(sc.tile) == sc.rt*snapValues(p)
 }
 
 // DopplerFilter runs Doppler filter processing over the full cube. It is
@@ -148,9 +203,7 @@ func DopplerFilterRanges(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCu
 	if rb.Lo < 0 || rb.Hi > p.Dims.Ranges || rb.Lo > rb.Hi {
 		return fmt.Errorf("stap: range block %v outside [0,%d]", rb, p.Dims.Ranges)
 	}
-	l := p.Bins()
-	k := p.StaggerCount()
-	if out.SnapLen != k*p.Dims.Channels || out.Bins != l || out.Ranges != p.Dims.Ranges {
+	if out.Ranges != p.Dims.Ranges || !out.laidOutFor(p) {
 		return fmt.Errorf("stap: output cube geometry does not match params")
 	}
 	if sc == nil {
@@ -166,7 +219,8 @@ func DopplerFilterRanges(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCu
 // DopplerFilterBand: range gates are processed in staging tiles of sc.rt
 // gates. For each gate, all channels' slow-time columns are read once and
 // the K*C windowed transforms run as one batched call (the window multiply
-// fused into the bit-reversal copy); the resulting snapshots are staged
+// fused into the bit-reversal copy); each bin's snapshot — the first
+// DoF(d) spectra, so easy bins drop their stagger >= 1 values — is staged
 // bin-major in the tile and flushed to the output cube as one contiguous
 // copy per bin — blocked tiles instead of scattering one element per
 // (bin, stagger) across the whole cube per column. Only the write order
@@ -176,7 +230,7 @@ func DopplerFilterRanges(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCu
 func dopplerBody(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCube, sc *DopplerScratch) {
 	l := p.Bins()
 	c := p.Dims.Channels
-	sl := out.SnapLen
+	off := out.off
 	rt := sc.rt
 	for r0 := rb.Lo; r0 < rb.Hi; r0 += rt {
 		n := min(rt, rb.Hi-r0)
@@ -186,15 +240,17 @@ func dopplerBody(p *Params, cb *cube.Cube, rb cube.Block, out *DopplerCube, sc *
 			}
 			sc.plan.ForwardWindowedMany(sc.srcs, sc.win, sc.bufs)
 			for d := 0; d < l; d++ {
-				row := sc.tile[(d*rt+ri)*sl : (d*rt+ri+1)*sl]
-				for k, buf := range sc.bufs {
+				dof := out.dof(d)
+				row := sc.tile[off[d]*rt+ri*dof : off[d]*rt+(ri+1)*dof]
+				for k, buf := range sc.bufs[:dof] {
 					row[k] = buf[d]
 				}
 			}
 		}
 		for d := 0; d < l; d++ {
-			src := sc.tile[d*rt*sl : (d*rt+n)*sl]
-			dst := out.Data[(d*out.Ranges+r0)*sl:]
+			dof := out.dof(d)
+			src := sc.tile[off[d]*rt : off[d]*rt+n*dof]
+			dst := out.Data[off[d]*out.Ranges+r0*dof:]
 			copy(dst[:len(src)], src)
 		}
 	}

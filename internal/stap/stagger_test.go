@@ -59,19 +59,28 @@ func TestThreeStaggerDopplerFilter(t *testing.T) {
 	p := DefaultParams(testDims())
 	p.Staggers = 3
 	p.Window = signal.WindowRect
-	fd := p.BinDoppler(3)
+	// Bin 1 is hard (inside the clutter notch), so it stores all three
+	// staggers; the easy bin 3 stores stagger 0 only.
+	const hard, easy = 1, 3
+	if !p.IsHard(hard) || p.IsHard(easy) {
+		t.Fatalf("bin %d must be hard and bin %d easy", hard, easy)
+	}
+	fd := p.BinDoppler(hard)
 	cb := toneCube(p.Dims, 0, fd)
 	dc, err := DopplerFilter(&p, cb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dc.SnapLen != 3*p.Dims.Channels {
-		t.Fatalf("SnapLen = %d, want %d", dc.SnapLen, 3*p.Dims.Channels)
+	if n := len(dc.Snapshot(hard, 7)); n != 3*p.Dims.Channels {
+		t.Fatalf("hard snapshot length %d, want %d", n, 3*p.Dims.Channels)
+	}
+	if n := len(dc.Snapshot(easy, 7)); n != p.Dims.Channels {
+		t.Fatalf("easy snapshot length %d, want %d", n, p.Dims.Channels)
 	}
 	rot := cmplx.Exp(complex(0, 2*math.Pi*fd))
 	for st := 1; st < 3; st++ {
-		prev := dc.At(3, st-1, 0, 7)
-		curr := dc.At(3, st, 0, 7)
+		prev := dc.At(hard, st-1, 0, 7)
+		curr := dc.At(hard, st, 0, 7)
 		if cmplx.Abs(curr-prev*rot) > 1e-6 {
 			t.Errorf("stagger %d phase relation broken: %v vs %v", st, curr, prev*rot)
 		}

@@ -102,7 +102,7 @@ func EstimateCovariances(p *Params, dc *DopplerCube, bins []int, hard bool) ([]*
 }
 
 func checkDopplerGeometry(p *Params, dc *DopplerCube) error {
-	if dc.Ranges != p.Dims.Ranges || dc.Channels != p.Dims.Channels {
+	if dc.Ranges != p.Dims.Ranges || !dc.laidOutFor(p) {
 		return fmt.Errorf("stap: doppler cube geometry mismatch")
 	}
 	return nil
@@ -126,7 +126,7 @@ func estimateBin(dc *DopplerCube, d int, gates []int, r *linalg.Matrix, panel []
 	for g0 := 0; g0 < len(gates); g0 += covPanelGates {
 		g1 := min(g0+covPanelGates, len(gates))
 		for t, g := range gates[g0:g1] {
-			copy(panel[t*dof:(t+1)*dof], dc.Snapshot(d, g)[:dof])
+			copy(panel[t*dof:(t+1)*dof], dc.Snapshot(d, g))
 		}
 		r.AccumulatePanel(panel, g1-g0, inv)
 	}

@@ -16,13 +16,14 @@ import (
 // stood before WeightSolver: a fresh matrix per bin, a Clone per solve,
 // allocating Cholesky and triangular solves, and the steering vector
 // rebuilt per (bin, beam). They are the bit-for-bit reference the
-// allocation-free path is held to.
-func refEstimateCovariances(p *Params, dc *DopplerCube, bins []int, hard bool) []*linalg.Matrix {
+// allocation-free path is held to. dc is a full-extent Doppler cube in
+// either the compact layout or the full-stride one of compact_test.go.
+func refEstimateCovariances(p *Params, dc interface{ Snapshot(bin, r int) []complex128 }, bins []int, hard bool) []*linalg.Matrix {
 	train := p.TrainEasy
 	if hard {
 		train = p.TrainHard
 	}
-	gates := trainingGates(dc.Ranges, train)
+	gates := trainingGates(p.Dims.Ranges, train)
 	inv := 1 / float64(len(gates))
 	covs := make([]*linalg.Matrix, len(bins))
 	for i, d := range bins {

@@ -16,9 +16,16 @@ go build ./...
 go test -race ./...
 (cd bench && go vet ./... && go test ./...)
 # Small-budget smoke: the pipeline under a budget barely above its minimum
-# residency must complete (serializing, never deadlocking), and the banded
-# executor must finish in less memory than even one cube's residency.
-go run ./cmd/stapdetect -small -cpis 4 -membudget 200K >/dev/null
+# residency (149 KiB) must complete (serializing, never deadlocking), a
+# budget just below it must be refused with the budget error, and the
+# banded executor must finish in less memory than even one cube's
+# residency.
+go run ./cmd/stapdetect -small -cpis 4 -membudget 150K >/dev/null
+if out=$(go run ./cmd/stapdetect -small -cpis 4 -membudget 148K 2>&1); then
+    echo "stapdetect ran under 148K, below its minimum residency" >&2
+    exit 1
+fi
+echo "$out" | grep -q 'below the minimum residency'
 go run ./cmd/stapdetect -small -cpis 4 -membudget 100K -band 16 >/dev/null
 # Banded fault smoke: band reads from a striped dataset through a
 # readahead window under injected failures and corruption, skip-CPI
