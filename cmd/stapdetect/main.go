@@ -15,7 +15,7 @@
 //	stapdetect -small -workers-per-stage dop=3,wh=4,cfar=1
 //	                                              # hand-picked per-stage split
 //	stapdetect -data ... -membudget 256M -readahead 8
-//	                                              # hard residency budget + spill tier
+//	                                              # hard residency budget, evicting to the source
 //	stapdetect -data ... -membudget 16M -band 64  # out-of-core banded execution
 package main
 
@@ -63,7 +63,7 @@ func main() {
 		stream   = flag.Bool("stream", false, "feed the pipeline through the streaming CubeSource (pooled slabs, credit-windowed producer) instead of per-CPI generation")
 		rdAhead  = flag.Int("readahead", 1, "readahead depth: striped reads kept in flight beyond the CPI being consumed")
 		decodeW  = flag.Int("decodeworkers", 1, "goroutines sharding each cube's checksum verify and decode")
-		memBud   = flag.String("membudget", "", `hard byte budget for cube + intermediate residency, e.g. "256M" or "1G" (empty = unlimited; residency is still tracked). With -data, cold prefetched cubes spill to the striped store under pressure`)
+		memBud   = flag.String("membudget", "", `hard byte budget for cube + intermediate residency, e.g. "256M" or "1G" (empty = unlimited; residency is still tracked). Under pressure, prefetched cubes are evicted and re-read from the dataset or generator when needed (not with -stream)`)
 		band     = flag.Int("band", 0, "out-of-core banded execution: stream each CPI through the pipeline as range-bin bands of this many bins, peak residency O(band) instead of O(cube); every pipeline option applies, with -readahead counted in bands (0 = whole cubes)")
 		traceOut = flag.String("tunetrace", "", "write the auto-tuner's full decision log (no-op windows included) as JSON to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
@@ -182,12 +182,6 @@ func main() {
 			fatal(err)
 		}
 		src, fileSrc = fsrc, fsrc
-		if cfg.MemBudget != nil {
-			// Under a budget the readahead window's cold cubes are better on
-			// disk than squeezing out admissions: arm the spill tier against
-			// the same striped store the dataset lives on.
-			cfg.Spill = &pipexec.SpillConfig{FS: fs}
-		}
 		fmt.Printf("reading %v CPIs from striped dataset %s (stripe factor %d)\n", sc.Dims, *data, *dirs)
 	} else {
 		if *faults != "" {
@@ -244,12 +238,9 @@ func main() {
 		if st.MemLimit > 0 {
 			lim = membudget.FormatBytes(st.MemLimit)
 		}
-		fmt.Printf("memory: budget %s, high water %s, budget stalls %d (%v stalled)\n",
-			lim, membudget.FormatBytes(st.MemHighWater), st.MemStalls, st.MemStall.Round(1e6))
-		if st.Spills+st.Reloads > 0 {
-			fmt.Printf("  spill tier: %d spills (%s written), %d reloads (%s re-read)\n",
-				st.Spills, membudget.FormatBytes(st.SpillBytes), st.Reloads, membudget.FormatBytes(st.ReloadBytes))
-		}
+		fmt.Printf("memory: budget %s, high water %s, budget stalls %d (%v stalled), evictions %d (%s re-fetched)\n",
+			lim, membudget.FormatBytes(st.MemHighWater), st.MemStalls, st.MemStall.Round(1e6),
+			st.Evictions, membudget.FormatBytes(st.RefetchBytes))
 	}
 	fmt.Println("per-stage busy time (mean per CPI):")
 	for _, st := range res.Stages {

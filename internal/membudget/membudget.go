@@ -1,9 +1,9 @@
 // Package membudget is a hierarchical byte-budget manager for
 // external-memory execution: a process-global root budget is split into
 // per-pipeline (or per-replica) child budgets, and every large slab a
-// pipeline materialises — input cubes, Doppler cubes, beam cubes, spill
-// reload buffers — is charged against its budget before it exists and
-// released when it is recycled. Acquire blocks when the budget is
+// pipeline materialises — input cubes, Doppler cubes, beam cubes — is
+// charged against its budget before it exists and released when it is
+// recycled. Acquire blocks when the budget is
 // exhausted; admission is ordered by caller-supplied priority (lower is
 // more urgent), which is how the pipeline avoids self-deadlock: the
 // reservation whose completion will free memory (the CPI at the head of
@@ -55,8 +55,9 @@ func (e *OverReleaseError) Error() string {
 func (e *OverReleaseError) Unwrap() error { return ErrOverRelease }
 
 // PressureHandler is invoked (outside the budget lock) when an Acquire
-// has to wait: it should try to free up to need bytes — e.g. by spilling
-// cold intermediates to disk — and return how many bytes it released.
+// has to wait: it should try to free up to need bytes — e.g. by evicting
+// cold prefetched data its source can deliver again — and return how many
+// bytes it released.
 type PressureHandler func(need int64) (freed int64)
 
 // Budget is one node of the reservation tree. The root is built with New,
@@ -347,28 +348,11 @@ func (b *Budget) OnPressure(h PressureHandler) {
 	root.mu.Unlock()
 }
 
-// Kick re-runs the pressure handlers if any reservation is still
-// waiting. Eviction sources call it when new spill candidates appear —
-// a waiter may have found nothing spillable when it first blocked.
-func (b *Budget) Kick() {
-	if b == nil {
-		return
-	}
-	root := b.root
-	root.mu.Lock()
-	var need int64
-	for _, w := range root.waiters {
-		need += w.n
-	}
-	root.mu.Unlock()
-	if need > 0 {
-		b.firePressure(need)
-	}
-}
-
 // firePressure runs the handlers until need bytes were freed or the
 // handlers are exhausted. One run at a time: concurrent blockers skip
 // rather than stampede (the running handler's releases will wake them).
+// It allocates nothing: OnPressure only appends, so the slice read under
+// the lock stays valid after it is released.
 func (b *Budget) firePressure(need int64) {
 	root := b.root
 	root.mu.Lock()
@@ -377,7 +361,7 @@ func (b *Budget) firePressure(need int64) {
 		return
 	}
 	root.pressureBusy = true
-	handlers := append([]PressureHandler(nil), root.handlers...)
+	handlers := root.handlers
 	root.mu.Unlock()
 	for _, h := range handlers {
 		if need <= 0 {

@@ -259,7 +259,7 @@ func TestPressureHandlerFreesWaiters(t *testing.T) {
 	var fired atomic
 	b.OnPressure(func(need int64) int64 {
 		fired.set()
-		b.Release(100) // the "spill": evict the cold reservation
+		b.Release(100) // evict the cold reservation
 		return 100
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -271,6 +271,17 @@ func TestPressureHandlerFreesWaiters(t *testing.T) {
 		t.Fatal("pressure handler never fired")
 	}
 	b.Release(60)
+}
+
+// TestFirePressureAllocFree: every budgeted pipeline run over a
+// re-fetchable source arms a pressure handler, so firing it must not
+// allocate.
+func TestFirePressureAllocFree(t *testing.T) {
+	b := New("root", 100)
+	b.OnPressure(func(need int64) int64 { return 0 })
+	if n := testing.AllocsPerRun(100, func() { b.firePressure(1) }); n != 0 {
+		t.Fatalf("firePressure allocates %.1f times per call", n)
+	}
 }
 
 // atomic is a tiny test-local flag (avoids importing sync/atomic for one
@@ -316,7 +327,6 @@ func TestNilBudgetIsNoOp(t *testing.T) {
 		t.Fatal("nil TryAcquire should succeed")
 	}
 	b.Release(100)
-	b.Kick()
 	if st := b.Stats(); st != (Stats{}) {
 		t.Fatalf("nil Stats = %+v", st)
 	}

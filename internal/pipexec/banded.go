@@ -85,11 +85,12 @@ func (b bands) widths() []int {
 // Config.BandRanges gates (< 1 means the full range extent). It runs Run's
 // stages, so every Config knob applies: workers and AutoTune, ReadAhead
 // (counted in bands), Retry and Degrade (a CPI whose band read stays
-// failed is dropped whole), MemBudget (validated against
-// BandedMinResidency) and Spill. A *FileSource re-draws its fault plan on
-// every retry and reports its chunk-repair counters; other sources are
-// re-read as they are. Band reads have no I/O frontend, so AutoTune
-// balances the compute stages only.
+// failed is dropped whole) and MemBudget (validated against
+// BandedMinResidency; landed bands are evicted and re-read under
+// pressure). A *FileSource re-draws its fault plan on every retry and
+// reports its chunk-repair counters; other sources are re-read as they
+// are. Band reads have no I/O frontend, so AutoTune balances the compute
+// stages only.
 func RunBanded(ctx context.Context, cfg Config, src BandedSource, n int) (*Result, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -149,6 +150,9 @@ func (b *bandCubes) Recycle(cb *cube.Cube) {
 		p.Put(cb)
 	}
 }
+
+// Refetchable implements CubeSource: a band is read again like any retry.
+func (b *bandCubes) Refetchable() bool { return true }
 
 // IOStats implements CubeSource: a file source's chunk-repair counters.
 func (b *bandCubes) IOStats() IOStats {

@@ -80,7 +80,6 @@ func TestDetectionDeterminism(t *testing.T) {
 		cfg := testConfig()
 		cfg.SeparateIO = true
 		cfg.ReadAhead = depth
-		cfg.Buffer = depth
 		exact("readahead depth", run(cfg), want)
 	}
 

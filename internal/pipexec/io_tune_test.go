@@ -153,6 +153,8 @@ func (l *landingSource) Begin(seq uint64, attempt int) PendingCube {
 
 func (l *landingSource) Recycle(*cube.Cube) {}
 
+func (l *landingSource) Refetchable() bool { return true }
+
 // TestSourceStallObservability: the stall counters and the occupancy
 // gauge follow the fetches' landing events, not wall-clock luck. A window
 // whose head never lands before the pipeline asks stalls on every CPI; a

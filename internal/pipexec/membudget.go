@@ -77,14 +77,9 @@ func (r *runner) initBudget() error {
 			return fmt.Errorf("pipexec: memory budget %s is below the minimum residency %s at band %d (one band slab + its Doppler band + the beam cube): %w — shrink the band",
 				membudget.FormatBytes(lim), membudget.FormatBytes(min), r.bands.band, membudget.ErrBudgetExceeded)
 		}
-	}
-	if r.cfg.Spill != nil {
-		sp, err := newSpiller(r, r.cfg.Spill)
-		if err != nil {
-			return err
+		if r.src.Refetchable() {
+			r.budget.OnPressure(r.evict)
 		}
-		r.spiller = sp
-		r.budget.OnPressure(sp.free)
 	}
 	if r.cubeCharged == nil {
 		r.cubeCharged = make(map[uint64]bool)
@@ -177,9 +172,8 @@ func (r *runner) admit(item uint64) {
 
 // Slab-charge bookkeeping: the read stage charges each item's band slab
 // when the fetch is issued; whichever path consumes the slab — Doppler
-// filtering, a drop, or a spill eviction — releases exactly once.
-// chargeMu guards the map because the spiller's pressure handler races
-// the Doppler stage.
+// filtering, a drop, or an eviction — releases exactly once. chargeMu
+// guards the map because the pressure handler races the Doppler stage.
 
 func (r *runner) setCubeCharged(item uint64) {
 	r.chargeMu.Lock()
@@ -188,28 +182,59 @@ func (r *runner) setCubeCharged(item uint64) {
 }
 
 // releaseCubeCharge drops item's slab charge if it is still held,
-// returning whether this call released it.
-func (r *runner) releaseCubeCharge(item uint64) bool {
+// returning the bytes this call released.
+func (r *runner) releaseCubeCharge(item uint64) int64 {
 	r.chargeMu.Lock()
 	held := r.cubeCharged[item]
 	delete(r.cubeCharged, item)
 	r.chargeMu.Unlock()
-	if held {
-		slabB, _ := r.itemBytes(r.bands.width(item))
-		r.releaseMem(slabB)
+	if !held {
+		return 0
 	}
-	return held
+	slabB, _ := r.itemBytes(r.bands.width(item))
+	r.releaseMem(slabB)
+	return slabB
 }
 
-// stealCubeCharge transfers item's slab charge to the caller (the
-// spiller, which frees the bytes itself after evicting the slab). Returns
-// false when the charge was already released or stolen.
-func (r *runner) stealCubeCharge(item uint64) bool {
-	r.chargeMu.Lock()
-	held := r.cubeCharged[item]
-	if held {
-		r.cubeCharged[item] = false
+// evict is the budget's pressure handler when the source can fetch an
+// item again: it evicts landed readahead items from the window's tail —
+// the ones FIFO delivery consumes last — recycling each slab and
+// releasing its charge, until need bytes are freed. A fetch that landed
+// with an error stays for the retry policy at the head. The read stage
+// re-fetches an evicted item when it reaches the head (readStage), so
+// eviction writes nothing and a blocked waiter that finds nothing to
+// evict waits for the downstream release admission order guarantees.
+func (r *runner) evict(need int64) (freed int64) {
+	r.winMu.Lock()
+	defer r.winMu.Unlock()
+	for i := len(r.window) - 1; i >= 0 && freed < need; i-- {
+		s := &r.window[i]
+		if s.evicted || !s.pend.Ready() {
+			continue
+		}
+		cb, err := s.pend.Wait()
+		if err != nil {
+			continue
+		}
+		r.src.Recycle(cb)
+		s.pend, s.evicted = nil, true
+		r.stats.evictions.Add(1)
+		freed += r.releaseCubeCharge(s.item)
 	}
-	r.chargeMu.Unlock()
-	return held
+	return freed
+}
+
+// refetch brings an evicted item back at the window head: it admits the
+// slab like any head read (acquireReadHead) and replays the fetch. Window
+// fetches are all attempt 0, so the re-fetch replays the fault draw that
+// landed and the drop set cannot change.
+func (r *runner) refetch(s *raSlot, sent int64) error {
+	if err := r.acquireReadHead(s.item, sent); err != nil {
+		return err
+	}
+	r.setCubeCharged(s.item)
+	s.pend = r.src.Begin(s.item, 0)
+	slabB, _ := r.itemBytes(r.bands.width(s.item))
+	r.stats.refetchBytes.Add(slabB)
+	return nil
 }

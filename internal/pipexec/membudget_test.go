@@ -3,6 +3,10 @@ package pipexec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,16 +37,16 @@ func chunkedKeepStore(t *testing.T, s *radar.Scenario, files, chunkSize int) (*p
 	return fs, src, kept
 }
 
-// TestBudgetedRunByteIdentical is the spill-determinism gate: a run under
-// the tightest admissible budget (one CPI's residency), with the spill
-// tier armed, must produce byte-identical detections to an unlimited run
-// at every readahead depth — and its tracked residency must never exceed
-// the budget.
+// TestBudgetedRunByteIdentical is the eviction-determinism gate: a run
+// under a tight budget (¼ of the unlimited peak, floored at one CPI's
+// residency), evicting landed prefetches to the store under pressure, must
+// produce byte-identical detections to an unlimited run at every readahead
+// depth — and its tracked residency must never exceed the budget.
 func TestBudgetedRunByteIdentical(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
 	const n = 8
-	fs, src, _ := chunkedKeepStore(t, s, n, cube.DefaultChunkSize)
+	_, src, _ := chunkedKeepStore(t, s, n, cube.DefaultChunkSize)
 
 	base, err := Run(context.Background(), cfg, src, n)
 	if err != nil {
@@ -65,7 +69,6 @@ func TestBudgetedRunByteIdentical(t *testing.T) {
 		bcfg := cfg
 		bcfg.ReadAhead = ra
 		bcfg.MemBudget = membudget.New("test", budgetBytes)
-		bcfg.Spill = &SpillConfig{FS: fs}
 		res, err := Run(context.Background(), bcfg, src, n)
 		if err != nil {
 			t.Fatalf("readahead %d: %v", ra, err)
@@ -87,11 +90,17 @@ func TestBudgetedRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBudgetedRunNoSpill: the budget must pin residency without the spill
-// tier armed too. At the minimum admissible budget (and with deep
-// readahead begging for more) the pipeline serializes instead of
-// deadlocking: the head read's admission reserves intermediates headroom,
-// so the oldest CPI's Doppler charge always stays admissible.
+// heldSource hides its source's Refetchable, so a budgeted run over it
+// cannot evict.
+type heldSource struct{ CubeSource }
+
+func (heldSource) Refetchable() bool { return false }
+
+// TestBudgetedRunNoSpill: the budget must pin residency without eviction
+// too. At the minimum admissible budget (and with deep readahead begging
+// for more) the pipeline serializes instead of deadlocking: the head
+// read's admission reserves intermediates headroom, so the oldest CPI's
+// Doppler charge always stays admissible.
 func TestBudgetedRunNoSpill(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
@@ -104,7 +113,7 @@ func TestBudgetedRunNoSpill(t *testing.T) {
 			budgetBytes := MinResidency(&cfg.Params) + slack
 			bcfg.MemBudget = membudget.New("test", budgetBytes)
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			res, err := Run(ctx, bcfg, ScenarioSource(s), n)
+			res, err := Run(ctx, bcfg, heldSource{ScenarioSource(s)}, n)
 			cancel()
 			if err != nil {
 				t.Fatalf("slack %d readahead %d: %v", slack, ra, err)
@@ -126,11 +135,11 @@ func TestBudgetedRunNoSpill(t *testing.T) {
 }
 
 // TestBandedRunAtMinResidency: a banded run with a deep readahead window
-// under exactly BandedMinResidency — with and without the spill tier —
-// must complete with byte-identical detections and never exceed the
-// budget; the read headroom keeps band prefetch from starving the
-// Doppler stage's admissions. A few slabs of slack let prefetched bands
-// land, so the spill tier evicts and reloads band slabs too.
+// under exactly BandedMinResidency must complete with byte-identical
+// detections and never exceed the budget; the read headroom keeps band
+// prefetch from starving the Doppler stage's admissions. A few slabs of
+// slack let prefetched bands land, so eviction to the store hits band
+// slabs too.
 func TestBandedRunAtMinResidency(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
@@ -138,57 +147,46 @@ func TestBandedRunAtMinResidency(t *testing.T) {
 	cfg.ReadAhead = 8
 	const n = 8
 	want := referenceDetections(t, cfg.Params, s, n)
-	fs, src, _ := chunkedKeepStore(t, s, n, 256)
+	_, src, _ := chunkedKeepStore(t, s, n, 256)
 	slabB := cfg.Params.Dims.Bytes() / int64(cfg.Params.Dims.Ranges) * int64(cfg.BandRanges)
-	for _, c := range []struct {
-		slack int64
-		spill bool
-	}{{0, false}, {0, true}, {4 * slabB, true}} {
+	for _, slack := range []int64{0, 4 * slabB} {
 		bcfg := cfg
-		budgetBytes := BandedMinResidency(&cfg.Params, cfg.BandRanges) + c.slack
+		budgetBytes := BandedMinResidency(&cfg.Params, cfg.BandRanges) + slack
 		bcfg.MemBudget = membudget.New("test", budgetBytes)
-		if c.spill {
-			bcfg.Spill = &SpillConfig{FS: fs, ChunkSize: 256}
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		res, err := RunBanded(ctx, bcfg, src, n)
 		cancel()
 		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
+			t.Fatalf("slack %d: %v", slack, err)
 		}
 		if len(res.CPIs) != n {
-			t.Fatalf("%+v: %d CPIs, want %d (stalled run?)", c, len(res.CPIs), n)
+			t.Fatalf("slack %d: %d CPIs, want %d (stalled run?)", slack, len(res.CPIs), n)
 		}
 		for k := range res.CPIs {
 			if !sameDetections(res.CPIs[k].Detections, want[k]) {
-				t.Errorf("%+v CPI %d: banded budgeted run diverges", c, k)
+				t.Errorf("slack %d CPI %d: banded budgeted run diverges", slack, k)
 			}
 		}
 		if res.Stats.MemHighWater > budgetBytes {
-			t.Errorf("%+v: high water %d exceeds budget %d", c, res.Stats.MemHighWater, budgetBytes)
+			t.Errorf("slack %d: high water %d exceeds budget %d", slack, res.Stats.MemHighWater, budgetBytes)
 		}
 		if inUse := bcfg.MemBudget.InUse(); inUse != 0 {
-			t.Errorf("%+v: %d bytes still charged after the run", c, inUse)
+			t.Errorf("slack %d: %d bytes still charged after the run", slack, inUse)
 		}
-		t.Logf("%+v: %d spills, %d reloads", c, res.Stats.Spills, res.Stats.Reloads)
+		t.Logf("slack %d: %d evictions, %d bytes re-fetched", slack, res.Stats.Evictions, res.Stats.RefetchBytes)
 	}
 }
 
-// TestSpillerEvictReload pins the eviction machinery deterministically at
-// the unit level: a landed, budget-charged cube is evicted under explicit
-// pressure — transferring its charge back to the budget and writing a v3
-// spill file — and the subsequent Wait transparently re-admits and reloads
-// it byte-for-byte.
-func TestSpillerEvictReload(t *testing.T) {
+// TestEvictRefetch pins eviction to the source at the unit level: a
+// landed, budget-charged readahead item is evicted under explicit
+// pressure, handing its whole charge back, and its re-fetch at the window
+// head takes the charge again and delivers the same bytes.
+func TestEvictRefetch(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
-	fs, err := pfs.CreateReal(t.TempDir(), 2, 4096, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, src, kept := chunkedKeepStore(t, s, 2, 4096)
 	cfg.MemBudget = membudget.New("test", 4*MinResidency(&cfg.Params))
-	cfg.Spill = &SpillConfig{FS: fs, ChunkSize: 4096}
-	r := newRunner(cfg, ScenarioSource(s), 4)
+	r := newRunner(cfg, src, 2)
 	if err := r.initBudget(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,106 +196,217 @@ func TestSpillerEvictReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.setCubeCharged(0)
-	slot := r.spiller.track(0, r.src.Begin(0, 0))
+	r.window = append(r.window, raSlot{item: 0, pend: r.src.Begin(0, 0)})
 	deadline := time.Now().Add(5 * time.Second)
-	for !slot.Ready() {
+	for !r.window[0].pend.Ready() {
 		if time.Now().After(deadline) {
 			t.Fatal("fetch never landed")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if freed := r.spiller.free(1); freed != r.cubeB {
+	if freed := r.evict(1); freed != r.cubeB {
 		t.Fatalf("eviction freed %d bytes, want %d", freed, r.cubeB)
 	}
 	if got := r.budget.InUse(); got != 0 {
 		t.Fatalf("after eviction %d bytes still charged", got)
 	}
-	if n := r.stats.spills.Load(); n != 1 {
-		t.Fatalf("spills counter %d, want 1", n)
+	if n := r.stats.evictions.Load(); n != 1 {
+		t.Fatalf("evictions counter %d, want 1", n)
 	}
 	// A second pressure pass finds nothing evictable.
-	if freed := r.spiller.free(1); freed != 0 {
+	if freed := r.evict(1); freed != 0 {
 		t.Fatalf("second eviction pass freed %d bytes", freed)
 	}
 
-	cb, err := slot.Wait()
-	if err != nil {
+	head := r.popHead()
+	if !head.evicted {
+		t.Fatal("window head not marked evicted")
+	}
+	if err := r.refetch(&head, 0); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.stats.reloads.Load(); n != 1 {
-		t.Fatalf("reloads counter %d, want 1", n)
+	cb, err := head.pend.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got := r.budget.InUse(); got != r.cubeB {
-		t.Fatalf("reloaded cube charges %d bytes, want %d", got, r.cubeB)
+		t.Fatalf("re-fetched cube charges %d bytes, want %d", got, r.cubeB)
 	}
-	want, err := s.Generate(0)
-	if err != nil {
-		t.Fatal(err)
+	if got := r.stats.refetchBytes.Load(); got != r.cubeB {
+		t.Fatalf("refetch bytes %d, want %d", got, r.cubeB)
 	}
-	for i := range want.Data {
-		if cb.Data[i] != want.Data[i] {
-			t.Fatalf("sample %d: reload %v, original %v", i, cb.Data[i], want.Data[i])
+	for i := range kept[0].Data {
+		if cb.Data[i] != kept[0].Data[i] {
+			t.Fatalf("sample %d: re-fetch %v, original %v", i, cb.Data[i], kept[0].Data[i])
 		}
 	}
-	if !r.releaseCubeCharge(0) {
-		t.Fatal("reload did not re-register the cube charge")
+	if r.releaseCubeCharge(0) != r.cubeB {
+		t.Fatal("re-fetch did not re-register the cube charge")
 	}
 }
 
-// TestSpillUnderBackpressure drives eviction end to end: a deliberately
-// slow CFAR stage holds each CPI's beam slab for milliseconds, so the next
-// CPI's Doppler admission blocks while freshly landed prefetches sit in
-// the window — the spill tier must evict some of them, reload them when
-// consumed, and the detections must stay identical to the sequential
-// reference.
-func TestSpillUnderBackpressure(t *testing.T) {
+// TestEvictionUnderBackpressure drives eviction end to end. A slow CFAR
+// stage holds each CPI's beam cube, so the next CPI's Doppler admission
+// blocks while prefetched cubes sit in the window; a landingSource's
+// fetches land at Begin, so the pressure handler finds them landed, and
+// they are re-fetched at the head with detections identical to the
+// sequential reference. A StreamSource cannot fetch a cube again: the
+// same pressure on a budgeted Stream evicts nothing, and the stream still
+// completes.
+func TestEvictionUnderBackpressure(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()
 	cubeB, dopB, beamB := MemCosts(&cfg.Params)
-	// Six cubes + one CPI's intermediates. The delivery chain holds three
-	// deregistered cubes (Doppler's hand, the stage channel buffer, the
-	// read stage's hand), so a six-cube window keeps landed prefetches in
-	// the spillable map; while CFAR k-1 sleeps on its beam slab, Doppler
-	// k's admission cannot fit and pressure must evict from the tail.
 	budgetBytes := 6*cubeB + dopB + beamB
-	cfg.MemBudget = membudget.New("test", budgetBytes)
 	cfg.ReadAhead = 8
 	cfg.testLoad = stageLoad{CFAR: 100 * time.Microsecond}
-	fs, err := pfs.CreateReal(t.TempDir(), 2, 4096, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Spill = &SpillConfig{FS: fs, ChunkSize: 4096}
-
 	const n = 12
 	want := referenceDetections(t, cfg.Params, s, n)
-	res, err := Run(context.Background(), cfg, ScenarioSource(s), n)
+	check := func(name string, got []CPIResult, st RunStats) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s: %d CPIs, want %d", name, len(got), n)
+		}
+		for _, c := range got {
+			if !sameDetections(c.Detections, want[c.Seq]) {
+				t.Errorf("%s CPI %d: diverges from reference", name, c.Seq)
+			}
+		}
+		if st.MemHighWater > budgetBytes {
+			t.Errorf("%s: high water %d exceeds budget %d", name, st.MemHighWater, budgetBytes)
+		}
+	}
+
+	cfg.MemBudget = membudget.New("run", budgetBytes)
+	res, err := Run(context.Background(), cfg, &landingSource{s: s, landed: true}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]stap.Detection, 0, n)
-	for _, c := range res.CPIs {
-		got = append(got, c.Detections)
+	check("run", res.CPIs, res.Stats)
+	if res.Stats.Evictions == 0 || res.Stats.RefetchBytes <= 0 {
+		t.Errorf("no eviction under backpressure (budget %d): evictions=%d refetch=%d",
+			budgetBytes, res.Stats.Evictions, res.Stats.RefetchBytes)
 	}
-	if res.Stats.Spills == 0 {
-		t.Fatalf("no spill occurred under backpressure (budget %d)", budgetBytes)
+
+	cfg.MemBudget = membudget.New("stream", budgetBytes)
+	gen := NewGeneratorSource(s.Dims, cfg.ReadAhead+1, s.Generate)
+	defer gen.Close()
+	h, err := Stream(context.Background(), cfg, gen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Stats.Reloads == 0 {
-		t.Error("spilled cubes were never reloaded")
-	}
-	if res.Stats.SpillBytes <= 0 || res.Stats.ReloadBytes <= 0 {
-		t.Errorf("spill byte counters dead: spill=%d reload=%d", res.Stats.SpillBytes, res.Stats.ReloadBytes)
-	}
-	if res.Stats.MemHighWater > budgetBytes {
-		t.Errorf("high water %d exceeds budget %d", res.Stats.MemHighWater, budgetBytes)
-	}
-	if len(got) != n {
-		t.Fatalf("drained %d CPIs, want %d", len(got), n)
-	}
-	for k := range got {
-		if !sameDetections(got[k], want[k]) {
-			t.Errorf("CPI %d: spilled run diverges from reference", k)
+	got := make([]CPIResult, 0, n)
+	for len(got) < n {
+		c, ok := <-h.Results
+		if !ok {
+			t.Fatal("results channel closed early")
 		}
+		got = append(got, c)
+	}
+	sres, err := h.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("stream", got, sres.Stats)
+	if sres.Stats.Evictions != 0 || sres.Stats.RefetchBytes != 0 {
+		t.Errorf("stream source evicted: evictions=%d refetch=%d", sres.Stats.Evictions, sres.Stats.RefetchBytes)
+	}
+}
+
+// storeFiles lists every file under a striped store's root with its size.
+func storeFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		out = append(out, fmt.Sprintf("%s %d", path, info.Size()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEvictionKeepsFaultOutcomes pins the fault rule of eviction: a
+// re-fetch replays the attempt-0 fetch that landed, so under a fault plan
+// a budgeted run that evicts drops exactly the CPIs an unbudgeted run
+// drops and detects the same, whole cubes and bands alike, and it writes
+// nothing to the store.
+func TestEvictionKeepsFaultOutcomes(t *testing.T) {
+	s := radar.SmallTestScenario()
+	const n = 16
+	root := t.TempDir()
+	fs, err := pfs.CreateReal(root, 4, 4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := radar.WriteDatasetChunked(fs, s, n, n, false, 256); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewFileSource(fs, s.Dims, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := storeFiles(t, root)
+	// A band read is dozens of striped reads, so bands see a lower rate.
+	for _, c := range []struct {
+		band int
+		fail float64
+	}{{0, 0.05}, {16, 0.005}} {
+		band := c.band
+		cfg := testConfig()
+		cfg.BandRanges = band
+		cfg.ReadAhead = 8
+		cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}
+		cfg.Degrade = DegradeSkipCPI
+		cfg.testLoad = stageLoad{CFAR: 100 * time.Microsecond}
+		run := func(b *membudget.Budget) *Result {
+			t.Helper()
+			fs.SetFaults(&pfs.FaultPlan{Seed: 2, FailRate: c.fail, CorruptRate: 0.02})
+			c := cfg
+			c.MemBudget = b
+			var res *Result
+			var err error
+			if band == 0 {
+				res, err = Run(context.Background(), c, src, n)
+			} else {
+				res, err = RunBanded(context.Background(), c, src, n)
+			}
+			if err != nil {
+				t.Fatalf("band %d: %v", band, err)
+			}
+			return res
+		}
+		free := run(nil)
+		slabB := cfg.Params.Dims.Bytes() / int64(cfg.Params.Dims.Ranges) * int64(newBands(s.Dims.Ranges, band).band)
+		tight := run(membudget.New("tight", BandedMinResidency(&cfg.Params, band)+10*slabB))
+		if tight.Stats.Evictions == 0 {
+			t.Errorf("band %d: budgeted run never evicted", band)
+		}
+		if len(free.Stats.DroppedSeqs) == 0 {
+			t.Errorf("band %d: the fault plan dropped no CPI", band)
+		}
+		if !slices.Equal(free.Stats.DroppedSeqs, tight.Stats.DroppedSeqs) {
+			t.Errorf("band %d: dropped %v with eviction, %v without", band, tight.Stats.DroppedSeqs, free.Stats.DroppedSeqs)
+		}
+		if len(free.CPIs) != len(tight.CPIs) {
+			t.Fatalf("band %d: %d CPIs with eviction, %d without", band, len(tight.CPIs), len(free.CPIs))
+		}
+		for k := range free.CPIs {
+			if free.CPIs[k].Seq != tight.CPIs[k].Seq || !sameDetections(free.CPIs[k].Detections, tight.CPIs[k].Detections) {
+				t.Errorf("band %d CPI %d: detections differ with eviction", band, free.CPIs[k].Seq)
+			}
+		}
+	}
+	if got := storeFiles(t, root); !slices.Equal(files, got) {
+		t.Errorf("the store changed during the runs:\nbefore %v\nafter  %v", files, got)
 	}
 }
 

@@ -34,7 +34,6 @@ func TestPoolsBoundedByPipelineDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Buffer = 2
 
 	const cpis = 64
 	h, err := Stream(context.Background(), cfg, src)
@@ -51,7 +50,7 @@ func TestPoolsBoundedByPipelineDepth(t *testing.T) {
 	}
 
 	// The in-flight bound: every channel slot plus every stage actively
-	// holding a CPI. With Buffer=2 that is well under 20; the point is
+	// holding a CPI. At channel depth 1 that is well under 20; the point is
 	// that it does not scale with the 64 CPIs completed.
 	const bound = 20
 	doppler := h.r.pools.dopplerNews.Load()
@@ -102,7 +101,6 @@ func TestPoolsBoundedAcrossBackToBackRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.Buffer = 2
 
 	const rounds, cpis = 6, 8
 	var first []CPIResult
@@ -200,7 +198,6 @@ func TestWeightSetsRecycledUnderFallbackAndRebalance(t *testing.T) {
 	}}
 	const cpis = 48
 	cfg := testConfig()
-	cfg.Buffer = 2
 	cfg.Degrade = DegradeLastGoodWeights
 	want, err := Run(context.Background(), cfg, poisoned, cpis)
 	if err != nil {
@@ -235,9 +232,9 @@ func TestWeightSetsRecycledUnderFallbackAndRebalance(t *testing.T) {
 			t.Errorf("CPI %d: detections diverge from the fixed-worker run", i)
 		}
 	}
-	// Channel slots (Buffer+1), the set being solved and the set being
+	// Channel slots (chanDepth+1), the set being solved and the set being
 	// beamformed with; the initial conventional set joins the circulation.
-	bound := int64(cfg.Buffer + 3)
+	bound := int64(chanDepth + 3)
 	for _, wp := range []*weightPool{h.r.pools.easyW, h.r.pools.hardW} {
 		if n := wp.news.Load(); n < 1 || n > bound {
 			t.Errorf("%d weight sets built over %d CPIs, want 1..%d", n, cpis, bound)

@@ -157,7 +157,6 @@ func TestPoolsBoundedAtDeepReadahead(t *testing.T) {
 	cfg.SeparateIO = true
 	cfg.ReadAhead = 4
 	cfg.DecodeWorkers = 2
-	cfg.Buffer = 2
 
 	const cpis = 64
 	res, err := Run(context.Background(), cfg, src, cpis)

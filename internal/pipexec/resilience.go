@@ -151,14 +151,12 @@ type RunStats struct {
 	MemHighWater int64
 	MemStalls    int64
 	MemStall     time.Duration
-	// Spills/SpillBytes count cold cubes evicted to the striped store
-	// under budget pressure and the bytes written; Reloads/ReloadBytes
-	// count evicted cubes read back when the pipeline consumed them. Zero
-	// without Config.Spill.
-	Spills      int64
-	SpillBytes  int64
-	Reloads     int64
-	ReloadBytes int64
+	// Evictions counts landed readahead items evicted to their source
+	// under budget pressure, and RefetchBytes the slab bytes re-fetched
+	// when the window reached them. Zero without a limit or on a source
+	// that cannot fetch an item again.
+	Evictions    int64
+	RefetchBytes int64
 	// StageTimes holds each stage's per-CPI service-time distribution
 	// (p50/p90/max from the live log-scale histograms), in pipeline order.
 	StageTimes []StageTimeStats
@@ -195,17 +193,15 @@ type IOSnapshot struct {
 	ReadaheadReady float64 `json:"readahead_ready"`
 	// Memory accounting: the effective budget (0 = unlimited), current
 	// and peak tracked residency, budget-stall count and nanoseconds, and
-	// the spill tier's eviction/reload counters. Residency is tracked
-	// even without a budget configured.
+	// the eviction and re-fetch counters. Residency is tracked even
+	// without a budget configured.
 	MemLimit     int64 `json:"mem_limit"`
 	MemInUse     int64 `json:"mem_in_use"`
 	MemHighWater int64 `json:"mem_high_water"`
 	MemStalls    int64 `json:"mem_stalls"`
 	MemStallNS   int64 `json:"mem_stall_ns"`
-	Spills       int64 `json:"spills"`
-	SpillBytes   int64 `json:"spill_bytes"`
-	Reloads      int64 `json:"reloads"`
-	ReloadBytes  int64 `json:"reload_bytes"`
+	Evictions    int64 `json:"evictions"`
+	RefetchBytes int64 `json:"refetch_bytes"`
 }
 
 // ioSnapshot assembles the live view from the runner's atomics.
@@ -227,10 +223,8 @@ func (r *runner) ioSnapshot() IOSnapshot {
 		snap.MemStalls = ms.Stalls
 		snap.MemStallNS = int64(ms.StallTime)
 	}
-	snap.Spills = r.stats.spills.Load()
-	snap.SpillBytes = r.stats.spillBytes.Load()
-	snap.Reloads = r.stats.reloads.Load()
-	snap.ReloadBytes = r.stats.reloadBytes.Load()
+	snap.Evictions = r.stats.evictions.Load()
+	snap.RefetchBytes = r.stats.refetchBytes.Load()
 	return snap
 }
 
@@ -244,10 +238,8 @@ type runStats struct {
 	sourceStallNS    atomic.Int64
 	raOccupSum       atomic.Int64
 	raOccupSamples   atomic.Int64
-	spills           atomic.Int64
-	spillBytes       atomic.Int64
-	reloads          atomic.Int64
-	reloadBytes      atomic.Int64
+	evictions        atomic.Int64
+	refetchBytes     atomic.Int64
 }
 
 // snapshot freezes the counters; droppedSeqs is supplied by the read stage
@@ -261,5 +253,7 @@ func (s *runStats) snapshot(dropped []uint64) RunStats {
 		WeightFallbacks:  s.weightFallbacks.Load(),
 		SourceStalls:     s.sourceStalls.Load(),
 		SourceStall:      time.Duration(s.sourceStallNS.Load()),
+		Evictions:        s.evictions.Load(),
+		RefetchBytes:     s.refetchBytes.Load(),
 	}
 }

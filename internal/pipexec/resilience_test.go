@@ -205,6 +205,8 @@ func (s *stuckSource) Begin(seq uint64, attempt int) PendingCube {
 
 func (s *stuckSource) Recycle(cb *cube.Cube) { s.inner.Recycle(cb) }
 
+func (s *stuckSource) Refetchable() bool { return s.inner.Refetchable() }
+
 func TestSkipCPIDropsStuckRead(t *testing.T) {
 	s := radar.SmallTestScenario()
 	cfg := testConfig()

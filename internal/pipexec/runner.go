@@ -31,9 +31,6 @@ type Config struct {
 	// CombinePCCFAR merges pulse compression and CFAR into a single stage
 	// (the paper's Section 6 task combination).
 	CombinePCCFAR bool
-	// Buffer is the inter-stage channel depth (flow control); values < 1
-	// become 1.
-	Buffer int
 	// Reports, when non-nil, receives every CPI's detection reports from
 	// the CFAR stage (the output-side I/O strategy).
 	Reports ReportSink
@@ -78,13 +75,10 @@ type Config struct {
 	// RunStats.MemHighWater works on unbudgeted runs too. Budgets should
 	// be per-run (or per-replica children of a shared root): an aborted
 	// run may leak charges into a budget that outlives it.
+	// Under a limit, a source that can fetch an item again
+	// (CubeSource.Refetchable) has landed readahead items evicted to it
+	// under pressure and re-fetched when the window reaches them.
 	MemBudget *membudget.Budget
-	// Spill, when non-nil (and typically paired with MemBudget), enables
-	// the spill tier: cold landed cubes — prefetched by the readahead
-	// window but not yet consumed — are evicted to the striped store in
-	// the chunked v3 format under budget pressure and transparently
-	// reloaded (with per-chunk CRC verify and repair) when consumed.
-	Spill *SpillConfig
 	// BandRanges is the range-band size of RunBanded, whose CPIs flow
 	// through the stages as range-band items; values < 1 mean the full
 	// range extent. Run and Stream consume whole cubes and run every CPI
@@ -251,14 +245,14 @@ func run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error
 	if n < 1 {
 		return nil, fmt.Errorf("pipexec: need at least one CPI, got %d", n)
 	}
-	r, buf, err := prepare(ctx, cfg, src, n)
+	r, err := prepare(ctx, cfg, src, n)
 	if err != nil {
 		return nil, err
 	}
 	defer r.cancel()
 
 	start := time.Now()
-	wg := r.launch(buf)
+	wg := r.launch()
 	wg.Wait()
 	if r.err != nil {
 		return nil, r.err
@@ -275,25 +269,24 @@ func run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error
 }
 
 // prepare validates the configuration and builds a runner for n CPIs,
-// ready to launch with the returned channel depth under a cancellable
-// child of ctx.
-func prepare(ctx context.Context, cfg Config, src CubeSource, n int) (*runner, int, error) {
+// ready to launch under a cancellable child of ctx.
+func prepare(ctx context.Context, cfg Config, src CubeSource, n int) (*runner, error) {
 	cfg, err := withAutoTuneDefaults(cfg, src)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	r := newRunner(cfg, src, n)
 	if err := r.initBudget(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := r.setup(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	r.ctx, r.cancel = context.WithCancel(ctx)
-	return r, max(cfg.Buffer, 1), nil
+	return r, nil
 }
 
 // newRunner builds the per-run state shared by Run, RunBanded and Stream:
@@ -312,6 +305,7 @@ func newRunner(cfg Config, src CubeSource, n int) *runner {
 		ra = 1
 	}
 	r.raDepth.Store(int32(ra))
+	r.window = make([]raSlot, 0, ra+1)
 	dw := cfg.DecodeWorkers
 	if dw < 1 {
 		dw = 1
@@ -356,10 +350,6 @@ func (r *runner) snapshotStats() RunStats {
 		st.MemStalls = ms.Stalls
 		st.MemStall = ms.StallTime
 	}
-	st.Spills = r.stats.spills.Load()
-	st.SpillBytes = r.stats.spillBytes.Load()
-	st.Reloads = r.stats.reloads.Load()
-	st.ReloadBytes = r.stats.reloadBytes.Load()
 	return st
 }
 
@@ -414,11 +404,15 @@ func (r *runner) setup() error {
 	})
 }
 
+// chanDepth is the inter-stage channel depth (flow control).
+const chanDepth = 1
+
 // launch creates the inter-stage channels and starts every stage
 // goroutine; the returned WaitGroup completes when all stages have exited.
 // Shared by Run (fixed CPI count) and Stream (unbounded).
-func (r *runner) launch(buf int) *sync.WaitGroup {
+func (r *runner) launch() *sync.WaitGroup {
 	cfg := r.cfg
+	buf := chanDepth
 	cubeCh := make(chan cubeMsg, buf)
 	weIn := make(chan dopplerMsg, buf)
 	whIn := make(chan dopplerMsg, buf)
@@ -602,18 +596,30 @@ type runner struct {
 	// after initBudget — unbudgeted runs account against a private
 	// unlimited one), the slab and Doppler bytes of a full-band item and
 	// the beam cube's, the count of items the Doppler stage has admitted
-	// with a signal per admission (see headroom), the optional spill tier,
-	// and the slab-charge registry pairing each issued read's charge with
-	// the exactly-one release that retires it.
+	// with a signal per admission (see headroom), and the slab-charge
+	// registry pairing each issued read's charge with the exactly-one
+	// release that retires it.
 	budget      *membudget.Budget
 	cubeB       int64
 	dopB        int64
 	beamB       int64
 	admitted    atomic.Int64
 	admitKick   chan struct{}
-	spiller     *spiller
 	chargeMu    sync.Mutex
 	cubeCharged map[uint64]bool
+
+	// window is the read stage's readahead FIFO. winMu guards it because
+	// the budget's pressure handler evicts from its tail (see evict).
+	winMu  sync.Mutex
+	window []raSlot
+}
+
+// raSlot is one readahead-window entry: item's in-flight fetch, or — once
+// evicted — nothing until the read stage re-fetches it at the head.
+type raSlot struct {
+	item    uint64
+	pend    PendingCube
+	evicted bool
 }
 
 // fail records the first error and cancels the run.
@@ -783,10 +789,10 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 // it. Failed reads are retried per Config.Retry and, under a skip policy,
 // their CPI is dropped whole once retries are exhausted; retries re-issue
 // only the item at the window head, while the rest of the window stays in
-// flight.
+// flight. Under a budget, landed items may be evicted back to the source
+// (see evict) and are re-fetched when they reach the head.
 func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 	defer close(out)
-	window := make([]PendingCube, 0, r.liveReadAhead()+1)
 	issued := 0
 	var sent int64      // items delivered to the Doppler stage
 	var start time.Time // the current CPI's latency start (separate design)
@@ -810,54 +816,42 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 			// deadlock. Priorities make the oldest item win every race.
 			if issued == k {
 				if err := r.acquireReadHead(item, sent); err != nil {
-					if r.ctx.Err() != nil {
-						return nil
-					}
-					return fmt.Errorf("pipexec: read CPI %d: %w", r.bands.seq(item), err)
+					return r.headErr(item, err)
 				}
 			} else if !r.tryAcquireReadAhead(item) {
 				break
 			}
 			r.setCubeCharged(item)
 			pend := r.src.Begin(item, 0)
-			if r.spiller != nil {
-				pend = r.spiller.track(item, pend)
-			}
-			window = append(window, pend)
+			r.winMu.Lock()
+			r.window = append(r.window, raSlot{item: item, pend: pend})
+			r.winMu.Unlock()
 			issued++
 		}
-		// Occupancy + stall bookkeeping: how much of the window has landed
-		// when the pipeline comes asking, and whether it must now stall on
-		// the head fetch.
-		ready := 0
-		for _, p := range window {
-			if p.Ready() {
-				ready++
-			}
-		}
-		r.stats.raOccupSum.Add(int64(ready))
-		r.stats.raOccupSamples.Add(1)
-		if !window[0].Ready() {
-			r.stats.sourceStalls.Add(1)
-		}
-		pending := window[0]
-		copy(window, window[1:])
-		window = window[:len(window)-1]
+		head := r.popHead()
 		_, lo, hi := r.bands.span(uint64(k))
 		last := hi == r.p.Dims.Ranges
 		if lo == 0 {
 			dropping = false
 		}
 		if dropping {
-			// A later band of a dropped CPI: retire it unseen.
-			if cb, err := r.waitCube(pending); err == nil {
-				r.src.Recycle(cb)
+			// A later band of a dropped CPI: retire it unseen. An evicted
+			// one holds neither a slab nor a charge.
+			if !head.evicted {
+				if cb, err := r.waitCube(head.pend); err == nil {
+					r.src.Recycle(cb)
+				}
+				r.releaseCubeCharge(uint64(k))
 			}
-			r.releaseCubeCharge(uint64(k))
 			continue
 		}
+		if head.evicted {
+			if err := r.refetch(&head, sent); err != nil {
+				return r.headErr(head.item, err)
+			}
+		}
 		startWait := time.Now()
-		cb, err := r.awaitCube(k, pending)
+		cb, err := r.awaitCube(k, head.pend)
 		if err != nil {
 			return err
 		}
@@ -891,6 +885,38 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 		sent = int64(k) + 1
 	}
 	return nil
+}
+
+// popHead takes the window head. It first samples the occupancy — how
+// much of the window has landed when the pipeline comes asking — and
+// whether the pipeline must now stall on the head fetch.
+func (r *runner) popHead() raSlot {
+	r.winMu.Lock()
+	defer r.winMu.Unlock()
+	ready := 0
+	for _, s := range r.window {
+		if !s.evicted && s.pend.Ready() {
+			ready++
+		}
+	}
+	r.stats.raOccupSum.Add(int64(ready))
+	r.stats.raOccupSamples.Add(1)
+	head := r.window[0]
+	if head.evicted || !head.pend.Ready() {
+		r.stats.sourceStalls.Add(1)
+	}
+	copy(r.window, r.window[1:])
+	r.window = r.window[:len(r.window)-1]
+	return head
+}
+
+// headErr reports a failed window-head admission, or nil when the run
+// was cancelled.
+func (r *runner) headErr(item uint64, err error) error {
+	if r.ctx.Err() != nil {
+		return nil
+	}
+	return fmt.Errorf("pipexec: read CPI %d: %w", r.bands.seq(item), err)
 }
 
 // liveReadAhead loads the current readahead depth, clamped to [1, cap].

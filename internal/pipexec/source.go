@@ -29,7 +29,7 @@ import (
 // iread()/iowait() pair, cube recycling so a source pools its decoded
 // slabs and steady-state ingest allocates nothing, and the hooks of an
 // instrumented I/O frontend. Sources without a frontend embed NoFrontend
-// and implement Begin and Recycle only.
+// and implement Begin, Recycle and Refetchable only.
 type CubeSource interface {
 	// Begin starts fetch number attempt (0 = first try) of the cube for
 	// CPI seq and returns a handle. A source with a fault plan folds the
@@ -39,6 +39,12 @@ type CubeSource interface {
 	// Recycle returns a cube obtained from this source once the pipeline
 	// is done with it. Must tolerate nil and foreign-geometry cubes.
 	Recycle(cb *cube.Cube)
+	// Refetchable reports whether Begin(seq, 0) may be called again for a
+	// cube already delivered and recycled, replaying the same fetch; a
+	// landed handle's Wait must then return the same result each call. A
+	// budgeted run evicts landed readahead items of such a source under
+	// memory pressure and re-fetches them, instead of holding them.
+	Refetchable() bool
 
 	// Frontend reports whether the source has an instrumented I/O
 	// frontend: it times each fetch and each decode on the clocks
@@ -236,6 +242,9 @@ func (s *FileSource) Recycle(cb *cube.Cube) {
 	}
 	s.cubes.Put(cb)
 }
+
+// Refetchable implements CubeSource: staging files stay on the store.
+func (s *FileSource) Refetchable() bool { return true }
 
 // PoolNews reports how many read buffers and decoded cubes the source has
 // ever allocated. With recycling working both stay bounded by the pipeline
@@ -443,7 +452,8 @@ func (s *FileSource) decodeChunked(name string, seq uint64, tag int, h *cube.Hea
 }
 
 // MemSource serves cubes from a generator function; used by tests and the
-// in-memory examples. The generator must be safe for concurrent calls.
+// in-memory examples. The generator must be safe for concurrent calls and
+// return the same cube for a sequence number each time.
 type MemSource struct {
 	NoFrontend
 	Generate func(seq uint64) (*cube.Cube, error)
@@ -452,6 +462,9 @@ type MemSource struct {
 // Recycle implements CubeSource as a no-op: generated cubes are freshly
 // allocated per CPI and have no pool to return to.
 func (s *MemSource) Recycle(cb *cube.Cube) {}
+
+// Refetchable implements CubeSource: a generator regenerates.
+func (s *MemSource) Refetchable() bool { return true }
 
 // Compile-time interface checks for the built-in sources.
 var (

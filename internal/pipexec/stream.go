@@ -32,13 +32,13 @@ type StreamHandle struct {
 // caller must drain Results and call Stop exactly once when finished.
 func Stream(ctx context.Context, cfg Config, src CubeSource) (*StreamHandle, error) {
 	cfg.BandRanges = 0 // a CubeSource delivers whole cubes
-	r, buf, err := prepare(ctx, cfg, src, math.MaxInt32)
+	r, err := prepare(ctx, cfg, src, math.MaxInt32)
 	if err != nil {
 		return nil, err
 	}
 	h := &StreamHandle{
 		r:       r,
-		results: make(chan CPIResult, buf),
+		results: make(chan CPIResult, chanDepth),
 		cancel:  r.cancel,
 		start:   time.Now(),
 		done:    make(chan struct{}),
@@ -46,7 +46,7 @@ func Stream(ctx context.Context, cfg Config, src CubeSource) (*StreamHandle, err
 	h.Results = h.results
 	r.streamOut = h.results
 
-	wg := r.launch(buf)
+	wg := r.launch()
 	go func() {
 		wg.Wait()
 		close(h.results)

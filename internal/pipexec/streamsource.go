@@ -180,6 +180,10 @@ func (s *StreamSource) Recycle(cb *cube.Cube) {
 	s.cubes.Put(cb)
 }
 
+// Refetchable implements CubeSource: a streamed cube's bytes are gone
+// once consumed, so a budgeted stream keeps its back-pressure instead.
+func (s *StreamSource) Refetchable() bool { return false }
+
 // PoolNews reports how many decode slabs the source has ever allocated.
 // With recycling working it stays bounded by the readahead window plus the
 // open publications, not the CPI count.

@@ -29,12 +29,17 @@ echo "$out" | grep -q 'below the minimum residency'
 go run ./cmd/stapdetect -small -cpis 4 -membudget 100K -band 16 >/dev/null
 # Banded fault smoke: band reads from a striped dataset through a
 # readahead window under injected failures and corruption, skip-CPI
-# degradation and a budget below one cube's residency.
+# degradation and a budget below one cube's residency. Eviction re-reads
+# the dataset and must never write spill files into it.
 data=$(mktemp -d)
 trap 'rm -rf "$data"' EXIT
 go run ./cmd/pfsgen -root "$data" -small >/dev/null
 go run ./cmd/stapdetect -data "$data" -small -band 16 -readahead 4 \
     -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K >/dev/null
+if [ -n "$(find "$data" -name 'spill_*')" ]; then
+    echo "budgeted run wrote spill files into the dataset" >&2
+    exit 1
+fi
 sh scripts/serve_smoke.sh
 sh scripts/chaos_smoke.sh
 for w in paper-file slowstore-file mid-banded small-serve; do
