@@ -392,6 +392,7 @@ func BenchmarkRealPipelineIODesigns(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer fs.Close()
 	const files = 4
 	if _, err := radar.WriteDataset(fs, s, files, files, false); err != nil {
 		b.Fatal(err)

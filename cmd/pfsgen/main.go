@@ -46,6 +46,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	defer fs.Close()
 	if _, err := radar.WriteDataset(fs, sc, *cpis, *files, false); err != nil {
 		fatal(err)
 	}

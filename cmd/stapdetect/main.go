@@ -168,6 +168,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
+		defer fs.Close()
 		if *faults != "" {
 			plan, err := pfs.ParseFaultSpec(*faults)
 			if err != nil {

@@ -8,8 +8,8 @@
 //     internal/pipexec): Doppler filter processing, easy/hard adaptive
 //     weight computation, easy/hard beamforming, pulse compression, and
 //     CFAR detection over goroutine worker pools, fed by a striped
-//     parallel-file-system backend (internal/pfs) with asynchronous
-//     iread/iowait-style reads.
+//     parallel-file-system backend (internal/pfs) read through
+//     asynchronous iread/iowait-style fetches.
 //
 //   - A performance model of the paper's machines (internal/core,
 //     internal/machine, internal/pfs, internal/pipesim): the pipeline

@@ -47,6 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		defer fs.Close()
 		if _, err := radar.WriteDataset(fs, scenario, files, files, false); err != nil {
 			log.Fatal(err)
 		}

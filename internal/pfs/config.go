@@ -9,10 +9,11 @@
 //     factors 16 and 64 (asynchronous reads via iread/iowait) and IBM
 //     PIOFS with 80 slices (synchronous reads only).
 //
-//   - RealFS: actual files striped across local directories, served by one
-//     goroutine per stripe directory, with an asynchronous read API
-//     mirroring the NX iread()/iowait() pair. The functional pipeline
-//     executor reads CPI cubes through it.
+//   - RealFS: actual files striped across local directories, each
+//     sub-file opened once and read by one goroutine per stripe directory.
+//     The functional pipeline executor reads CPI cubes through it, and its
+//     FileSource.Begin / PendingCube.Wait pair mirrors the NX
+//     iread()/iowait() pair.
 package pfs
 
 import (

@@ -5,16 +5,18 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // RealFS stripes files across local directories, mirroring the layout of
 // the modelled parallel file system: unit u of a file lives in stripe
 // directory u mod StripeDirs, at unit index u div StripeDirs within that
-// directory's sub-file. Reads fan out one goroutine per touched stripe
-// directory, and an asynchronous API (Start/Wait) mirrors the Paragon NX
-// iread()/iowait() pair so the pipeline's first task can overlap I/O with
-// computation.
+// directory's sub-file. Like a Paragon PFS client that gopen()s a file
+// once, a RealFS opens each sub-file on its first data read and keeps the
+// handle, so later reads are bare preads; Close releases the handles.
+// Reads fan out one goroutine per touched stripe directory through a
+// pooled request, so a warm read allocates nothing.
 type RealFS struct {
 	root     string
 	dirs     int
@@ -22,6 +24,36 @@ type RealFS struct {
 	async    bool
 	faults   *FaultPlan
 	dirPaths []string // stripe directory paths, built once by CreateReal
+
+	// mu guards open and free: the data-read handle cache and the free
+	// list of fan-out requests.
+	mu   sync.Mutex
+	open map[string]*subFiles
+	free []*readReq
+}
+
+// subFiles is one striped file's cached sub-file handles, one slot per
+// stripe directory, filled on the directory's first data read. refs
+// counts the reads holding the set (guarded by RealFS.mu): a set dropped
+// from the cache while reads hold it is closed by the last of them, so a
+// handle is never closed under a read.
+type subFiles struct {
+	f       []atomic.Pointer[os.File]
+	refs    int
+	dropped bool
+}
+
+// close closes every opened handle of the set and returns the first error.
+func (h *subFiles) close() error {
+	var first error
+	for d := range h.f {
+		if f := h.f[d].Swap(nil); f != nil {
+			if err := f.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
 }
 
 // CreateReal initialises (or reuses) a striped store rooted at root with
@@ -46,8 +78,9 @@ func (fs *RealFS) StripeDirs() int { return fs.dirs }
 // StripeUnit returns the stripe unit in bytes.
 func (fs *RealFS) StripeUnit() int64 { return fs.unit }
 
-// Async reports whether asynchronous reads are enabled (false emulates
-// PIOFS semantics: Start degenerates to a completed synchronous read).
+// Async reports whether asynchronous reads are enabled. False emulates
+// PIOFS semantics: a client must not overlap a read with computation, so
+// it issues the read inline (see pipexec.FileSource.Begin).
 func (fs *RealFS) Async() bool { return fs.async }
 
 // SetFaults installs (or, with nil, removes) a fault-injection plan. Must
@@ -89,7 +122,12 @@ func (fs *RealFS) WriteFile(name string, data []byte) error {
 		}
 		if len(sub) == 0 && d >= touched {
 			// Remove stale sub-file from a previous, larger version.
-			if err := os.Remove(fs.subPath(d, name)); err != nil && !os.IsNotExist(err) {
+			// Its cached handles go with it; the surviving sub-files are
+			// rewritten in place, truncating the same inodes.
+			err := os.Remove(fs.subPath(d, name))
+			if err == nil {
+				fs.drop(name)
+			} else if !os.IsNotExist(err) {
 				return fmt.Errorf("pfs: removing stale stripe: %w", err)
 			}
 			continue
@@ -214,25 +252,144 @@ func (fs *RealFS) ReadAtAttempt(name string, off int64, buf []byte, attempt int)
 	// Each touched directory is served by exactly one goroutine reading
 	// its sub-file sequentially; errs is indexed by directory, so the
 	// lowest-numbered failure wins.
-	var wg sync.WaitGroup
-	errs := make([]error, fs.dirs)
+	r := fs.lease(name)
+	defer fs.release(r)
+	r.off, r.buf, r.attempt = off, buf, attempt
 	for d := 0; d < fs.dirs; d++ {
 		if _, ok := fs.firstUnit(off, int64(len(buf)), d); !ok {
 			continue
 		}
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			errs[d] = fs.readDir(name, off, d, attempt, buf)
-		}(d)
+		r.wg.Add(1)
+		go r.run[d]()
 	}
-	wg.Wait()
-	for _, err := range errs {
+	r.wg.Wait()
+	for _, err := range r.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// readReq is one fan-out read. Requests are recycled through RealFS.free,
+// and each binds its per-directory closures once, when it is built, so
+// launching a directory's goroutine allocates nothing.
+type readReq struct {
+	h       *subFiles // the read file's handles, held for the read
+	name    string
+	off     int64
+	buf     []byte
+	attempt int
+	wg      sync.WaitGroup
+	errs    []error  // per stripe directory
+	run     []func() // run[d] serves directory d into errs[d]
+}
+
+// lease takes a fan-out request off the free list (building one if it is
+// empty) and pins the named file's cached handle set for the read.
+func (fs *RealFS) lease(name string) *readReq {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var r *readReq
+	if n := len(fs.free); n > 0 {
+		r = fs.free[n-1]
+		fs.free = fs.free[:n-1]
+	} else {
+		r = fs.newReadReq()
+	}
+	h := fs.open[name]
+	if h == nil {
+		h = &subFiles{f: make([]atomic.Pointer[os.File], fs.dirs)}
+		if fs.open == nil {
+			fs.open = make(map[string]*subFiles)
+		}
+		fs.open[name] = h
+	}
+	h.refs++
+	r.h, r.name = h, name
+	return r
+}
+
+// newReadReq builds a fan-out request and binds its per-directory
+// closures.
+func (fs *RealFS) newReadReq() *readReq {
+	r := &readReq{errs: make([]error, fs.dirs), run: make([]func(), fs.dirs)}
+	for d := range r.run {
+		r.run[d] = func() {
+			defer r.wg.Done()
+			r.errs[d] = fs.readDir(r, d)
+		}
+	}
+	return r
+}
+
+// release unpins the request's handle set, closing it if it was dropped
+// while the read held it, and returns the request to the free list.
+func (fs *RealFS) release(r *readReq) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if r.h.refs--; r.h.refs == 0 && r.h.dropped {
+		r.h.close()
+	}
+	clear(r.errs)
+	r.h, r.name, r.buf = nil, "", nil
+	fs.free = append(fs.free, r)
+}
+
+// drop removes the named file's handle set from the cache. It is closed
+// now if no read holds it, else by the last read to release it.
+func (fs *RealFS) drop(name string) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.dropLocked(name)
+}
+
+// dropLocked is drop with fs.mu held; it returns the close error of a set
+// no read holds.
+func (fs *RealFS) dropLocked(name string) error {
+	h := fs.open[name]
+	if h == nil {
+		return nil
+	}
+	delete(fs.open, name)
+	h.dropped = true
+	if h.refs == 0 {
+		return h.close()
+	}
+	return nil
+}
+
+// Close releases every cached sub-file handle and returns the first close
+// error. Reads in flight keep their handles until they finish; a later
+// read re-opens.
+func (fs *RealFS) Close() error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var first error
+	for name := range fs.open {
+		if err := fs.dropLocked(name); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// subFile returns the cached handle of h's sub-file in stripe directory
+// d, opening it on first use. Racing first reads both open; one handle is
+// kept and the other closed.
+func (fs *RealFS) subFile(h *subFiles, name string, d int) (*os.File, error) {
+	if f := h.f[d].Load(); f != nil {
+		return f, nil
+	}
+	f, err := os.Open(fs.subPath(d, name))
+	if err != nil {
+		return nil, err
+	}
+	if !h.f[d].CompareAndSwap(nil, f) {
+		f.Close()
+		return h.f[d].Load(), nil
+	}
+	return f, nil
 }
 
 // firstRun returns stripe directory d's first run of the read [off,
@@ -243,25 +400,36 @@ func (fs *RealFS) firstRun(off, length int64, d int) segment {
 }
 
 // ProbeAt reads length bytes at logical offset off of the named file into
-// buf like ReadAt, but without fault injection or fan-out — the metadata
-// probe a client performs once at startup to learn file geometry, which
-// the injected fault stream covering data reads should not fail.
+// buf like ReadAt, but without fault injection, fan-out or the handle
+// cache — the metadata probe a client performs once at startup to learn
+// file geometry, which the injected fault stream covering data reads
+// should not fail, and the read-back of files that are not data inputs.
 func (fs *RealFS) ProbeAt(name string, off int64, buf []byte) error {
 	for d := 0; d < fs.dirs; d++ {
-		if err := fs.readRuns(name, off, d, buf); err != nil {
+		if _, ok := fs.firstUnit(off, int64(len(buf)), d); !ok {
+			continue
+		}
+		f, err := os.Open(fs.subPath(d, name))
+		if err != nil {
+			return &StripeReadError{Dir: d, Name: name, Off: fs.firstRun(off, int64(len(buf)), d).subOff, Err: err}
+		}
+		err = fs.readRuns(f, name, off, d, buf)
+		f.Close()
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readDir serves one stripe directory's share of a fan-out read, applying
+// readDir serves stripe directory d's share of fan-out read r, applying
 // the fault plan: a latency spike sleeps, an injected failure aborts the
 // directory's runs, and a corruption flips one bit of the bytes served.
-func (fs *RealFS) readDir(name string, off int64, d int, attempt int, buf []byte) error {
+func (fs *RealFS) readDir(r *readReq, d int) error {
+	name, off, buf := r.name, r.off, r.buf
 	var o FaultOutcome
 	if fp := fs.faults; fp != nil {
-		o = fp.ReadOutcome(name, off, d, attempt)
+		o = fp.ReadOutcome(name, off, d, r.attempt)
 		if o.Slow {
 			fp.countSlow()
 			time.Sleep(fp.slowDelay())
@@ -272,7 +440,11 @@ func (fs *RealFS) readDir(name string, off int64, d int, attempt int, buf []byte
 				Err: &FaultError{Dir: d, Name: name, Off: off}}
 		}
 	}
-	if err := fs.readRuns(name, off, d, buf); err != nil {
+	f, err := fs.subFile(r.h, name, d)
+	if err != nil {
+		return &StripeReadError{Dir: d, Name: name, Off: fs.firstRun(off, int64(len(buf)), d).subOff, Err: err}
+	}
+	if err := fs.readRuns(f, name, off, d, buf); err != nil {
 		return err
 	}
 	if o.Corrupt {
@@ -286,82 +458,12 @@ func (fs *RealFS) readDir(name string, off int64, d int, attempt int, buf []byte
 }
 
 // readRuns reads stripe directory d's runs of the read [off, off+len(buf))
-// into buf through one open of its sub-file. A directory the read does not
-// touch is not opened.
-func (fs *RealFS) readRuns(name string, off int64, d int, buf []byte) error {
-	var f *os.File
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
+// into buf from f, the directory's sub-file.
+func (fs *RealFS) readRuns(f *os.File, name string, off int64, d int, buf []byte) error {
 	return fs.dirRuns(off, int64(len(buf)), d, func(s segment) error {
-		if f == nil {
-			var err error
-			if f, err = os.Open(fs.subPath(d, name)); err != nil {
-				return &StripeReadError{Dir: d, Name: name, Off: s.subOff, Err: err}
-			}
-		}
 		if _, err := f.ReadAt(buf[s.bufOff:s.bufOff+s.length], s.subOff); err != nil {
 			return &StripeReadError{Dir: d, Name: name, Off: s.subOff, Err: err}
 		}
 		return nil
 	})
-}
-
-// Pending is an in-flight asynchronous read, the analogue of the NX
-// iread() handle.
-type Pending struct {
-	done chan struct{}
-	err  error
-}
-
-// Wait blocks until the read completes and returns its error — the
-// analogue of iowait().
-func (p *Pending) Wait() error {
-	<-p.done
-	return p.err
-}
-
-// Start begins an asynchronous read and returns immediately. When the file
-// system was created without async support (PIOFS semantics), Start
-// performs the read synchronously before returning, so Wait never
-// overlaps anything — matching the paper's observation that PIOFS reads
-// cannot be hidden behind computation.
-func (fs *RealFS) Start(name string, off int64, buf []byte) *Pending {
-	return fs.StartAttempt(name, off, buf, 0)
-}
-
-// StartAttempt is Start with an explicit retry-attempt number (see
-// ReadAtAttempt).
-func (fs *RealFS) StartAttempt(name string, off int64, buf []byte, attempt int) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	if !fs.async {
-		p.err = fs.ReadAtAttempt(name, off, buf, attempt)
-		close(p.done)
-		return p
-	}
-	go func() {
-		p.err = fs.ReadAtAttempt(name, off, buf, attempt)
-		close(p.done)
-	}()
-	return p
-}
-
-// StartWrite begins an asynchronous whole-file write — how the radar
-// refills a staging file while the pipeline computes. The data slice must
-// not be modified until Wait returns. On a sync-only store the write
-// happens before StartWrite returns.
-func (fs *RealFS) StartWrite(name string, data []byte) *Pending {
-	p := &Pending{done: make(chan struct{})}
-	if !fs.async {
-		p.err = fs.WriteFile(name, data)
-		close(p.done)
-		return p
-	}
-	go func() {
-		p.err = fs.WriteFile(name, data)
-		close(p.done)
-	}()
-	return p
 }

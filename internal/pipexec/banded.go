@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"stapio/internal/cube"
-	"stapio/internal/radar"
 )
 
 // Banded (external-memory) execution: RunBanded streams each CPI through
@@ -192,7 +191,7 @@ func (s *FileSource) readBand(seq uint64, lo, hi, attempt int, dst *cube.Cube) e
 	if lo < 0 || hi > d.Ranges || lo >= hi {
 		return fmt.Errorf("pipexec: band [%d,%d) outside range extent %d", lo, hi, d.Ranges)
 	}
-	name := radar.FileName(radar.FileFor(seq, s.Files))
+	name := s.fileName(seq)
 	h, err := s.bandHeader(name)
 	if err != nil {
 		return err

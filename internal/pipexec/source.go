@@ -195,6 +195,9 @@ type FileSource struct {
 
 	// fileBytes is the probed staging-file size.
 	fileBytes int64
+	// names holds the staging-file names, built once: name i is
+	// radar.FileName(i).
+	names []string
 
 	bufs     sync.Pool // *readBuf
 	cubes    sync.Pool // *cube.Cube
@@ -306,7 +309,16 @@ func NewFileSource(fs *pfs.RealFS, dims cube.Dims, files int) (*FileSource, erro
 	if size != want {
 		return nil, fmt.Errorf("pipexec: staging file is %d bytes, want %d for %v", size, want, dims)
 	}
-	return &FileSource{FS: fs, Dims: dims, Files: files, fileBytes: want}, nil
+	names := make([]string, files)
+	for i := range names {
+		names[i] = radar.FileName(i)
+	}
+	return &FileSource{FS: fs, Dims: dims, Files: files, fileBytes: want, names: names}, nil
+}
+
+// fileName is the staging file holding CPI seq.
+func (s *FileSource) fileName(seq uint64) string {
+	return s.names[radar.FileFor(seq, s.Files)]
 }
 
 // asyncFetch is the PendingCube of the built-in sources: the fetch runs in
@@ -321,15 +333,23 @@ type asyncFetch struct {
 }
 
 // Begin implements CubeSource: it issues a striped read of the whole
-// staging file for the CPI. The read's fault-plan tag folds the CPI
-// sequence number in with the attempt: staging files are reused
-// round-robin, so without the seq every visit to a file would draw the
-// same injected fate.
+// staging file for the CPI — the iread() of the paper's clients — and its
+// fetch goroutine verifies and decodes the payload once the read lands.
+// On an async store the fetch goroutine issues the read itself, so Begin
+// returns at once; on a sync-only store (PIOFS semantics) the read lands
+// before Begin returns and cannot overlap anything. The read's fault-plan
+// tag folds the CPI sequence number in with the attempt: staging files are
+// reused round-robin, so without the seq every visit to a file would draw
+// the same injected fate.
 func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 	rb := s.getBuf()
-	name := radar.FileName(radar.FileFor(seq, s.Files))
+	name := s.fileName(seq)
 	tag := int(seq)<<8 | attempt&0xff
-	pend := s.FS.StartAttempt(name, 0, rb.b, tag)
+	inline := !s.FS.Async()
+	var inlineErr error
+	if inline {
+		inlineErr = s.read(name, tag, rb.b)
+	}
 	p := &asyncFetch{done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
@@ -337,7 +357,15 @@ func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 		// payloads, and dropped CPIs included — so retries and skip-policy
 		// drops reuse buffers rather than leak them.
 		defer s.putBuf(rb)
-		p.cb, p.err = s.fetch(name, seq, tag, rb.b, pend)
+		err := inlineErr
+		if !inline {
+			err = s.read(name, tag, rb.b)
+		}
+		if err != nil {
+			p.err = err
+			return
+		}
+		p.cb, p.err = s.decode(name, seq, tag, rb.b)
 	}()
 	return p
 }
@@ -360,19 +388,24 @@ func (p *asyncFetch) Ready() bool {
 	}
 }
 
-// fetch blocks on the striped read, then verifies and decodes the payload.
-// With clocks armed (SetClocks) the striped-read wait lands on the read
-// clock — one per-fetch serial latency sample, the tuner's serial work for
-// the frontend — and the verify+decode section lands on the decode clock.
-func (s *FileSource) fetch(name string, seq uint64, tag int, buf []byte, pend *pfs.Pending) (*cube.Cube, error) {
-	clks := s.clocks()
+// read is the striped read of one whole staging file. With clocks armed
+// (SetClocks) a landed read's latency goes on the read clock — one
+// per-fetch serial latency sample, the tuner's serial work for the
+// frontend.
+func (s *FileSource) read(name string, tag int, buf []byte) error {
 	t0 := time.Now()
-	if err := pend.Wait(); err != nil {
-		return nil, err
+	if err := s.FS.ReadAtAttempt(name, 0, buf, tag); err != nil {
+		return err
 	}
-	if clks.read != nil {
-		clks.read(time.Since(t0))
+	if clk := s.clocks().read; clk != nil {
+		clk(time.Since(t0))
 	}
+	return nil
+}
+
+// decode verifies and decodes a landed staging-file image; with clocks
+// armed the verify+decode section lands on the decode clock.
+func (s *FileSource) decode(name string, seq uint64, tag int, buf []byte) (*cube.Cube, error) {
 	h, err := cube.ParseHeader(buf)
 	if err != nil {
 		return nil, err
@@ -388,8 +421,8 @@ func (s *FileSource) fetch(name string, seq uint64, tag int, buf []byte, pend *p
 	cb := s.getCube()
 	d0 := time.Now()
 	err = s.decodeChunked(name, seq, tag, &h, payload, cb)
-	if clks.dec != nil {
-		clks.dec(time.Since(d0))
+	if clk := s.clocks().dec; clk != nil {
+		clk(time.Since(d0))
 	}
 	if err != nil {
 		s.Recycle(cb)

@@ -15,27 +15,36 @@ fi
 go build ./...
 go test -race ./...
 (cd bench && go vet ./... && go test ./...)
+# The smokes run one stapdetect binary, built once.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+stapdetect=$tmp/stapdetect
+go build -o "$stapdetect" ./cmd/stapdetect
 # Small-budget smoke: the pipeline under a budget barely above its minimum
 # residency (149 KiB) must complete (serializing, never deadlocking), a
 # budget just below it must be refused with the budget error, and the
 # banded executor must finish in less memory than even one cube's
 # residency.
-go run ./cmd/stapdetect -small -cpis 4 -membudget 150K >/dev/null
-if out=$(go run ./cmd/stapdetect -small -cpis 4 -membudget 148K 2>&1); then
+"$stapdetect" -small -cpis 4 -membudget 150K >/dev/null
+if out=$("$stapdetect" -small -cpis 4 -membudget 148K 2>&1); then
     echo "stapdetect ran under 148K, below its minimum residency" >&2
     exit 1
 fi
 echo "$out" | grep -q 'below the minimum residency'
-go run ./cmd/stapdetect -small -cpis 4 -membudget 100K -band 16 >/dev/null
+"$stapdetect" -small -cpis 4 -membudget 100K -band 16 >/dev/null
 # Banded fault smoke: band reads from a striped dataset through a
 # readahead window under injected failures and corruption, skip-CPI
 # degradation and a budget below one cube's residency. Eviction re-reads
-# the dataset and must never write spill files into it.
-data=$(mktemp -d)
-trap 'rm -rf "$data"' EXIT
+# the dataset and must never write spill files into it. The run gets 128
+# descriptors: the store keeps one open per (staging file, stripe dir),
+# 64 at pfsgen's default 16 dirs x 4 files, so a handle leaked per read
+# runs out within 64 CPIs. Skip-CPI turns the failed opens into drops,
+# and this seed drops none.
+data=$tmp/data
 go run ./cmd/pfsgen -root "$data" -small >/dev/null
-go run ./cmd/stapdetect -data "$data" -small -band 16 -readahead 4 \
-    -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K >/dev/null
+out=$(ulimit -n 128 && "$stapdetect" -data "$data" -small -cpis 64 -band 16 -readahead 4 \
+    -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K)
+echo "$out" | grep -q ' drops=0 '
 if [ -n "$(find "$data" -name 'spill_*')" ]; then
     echo "budgeted run wrote spill files into the dataset" >&2
     exit 1
