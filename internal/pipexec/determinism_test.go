@@ -2,6 +2,7 @@ package pipexec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"stapio/internal/core"
@@ -74,13 +75,16 @@ func TestDetectionDeterminism(t *testing.T) {
 		exact("worker mix", run(cfg), want)
 	}
 
-	// Readahead depths behind a separate read stage: prefetch reorders
-	// reads, never compute.
-	for _, depth := range []int{1, 2, 4} {
-		cfg := testConfig()
-		cfg.SeparateIO = true
-		cfg.ReadAhead = depth
-		exact("readahead depth", run(cfg), want)
+	// Readahead depths behind a separate read stage, and driven by the
+	// Doppler task itself (embedded): prefetch reorders reads, never
+	// compute.
+	for _, separate := range []bool{true, false} {
+		for _, depth := range []int{1, 2, 4} {
+			cfg := testConfig()
+			cfg.SeparateIO = separate
+			cfg.ReadAhead = depth
+			exact(fmt.Sprintf("separate %v readahead depth %d", separate, depth), run(cfg), want)
+		}
 	}
 
 	// Banded execution: partial Doppler tiles, covariance panels carried
@@ -96,23 +100,25 @@ func TestDetectionDeterminism(t *testing.T) {
 		exact("band size", collect(res), want)
 	}
 
-	// Bands behind a separate read stage with a readahead window of band
-	// reads, under a live worker-swap schedule: overlapping band fetches
-	// and mid-run re-partitioning never reorder a reduction.
-	for _, band := range []int{1, 7} {
-		for _, depth := range []int{1, 4} {
-			cfg := testConfig()
-			cfg.BandRanges = band
-			cfg.SeparateIO = true
-			cfg.ReadAhead = depth
-			cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
-				set(cpi%7, 1+cpi%3)
+	// Bands behind a separate read stage, and embedded, with a readahead
+	// window of band reads, under a live worker-swap schedule: overlapping
+	// band fetches and mid-run re-partitioning never reorder a reduction.
+	for _, separate := range []bool{true, false} {
+		for _, band := range []int{1, 7} {
+			for _, depth := range []int{1, 4} {
+				cfg := testConfig()
+				cfg.BandRanges = band
+				cfg.SeparateIO = separate
+				cfg.ReadAhead = depth
+				cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
+					set(cpi%7, 1+cpi%3)
+				}
+				res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+				if err != nil {
+					t.Fatalf("separate %v band %d readahead %d: %v", separate, band, depth, err)
+				}
+				exact(fmt.Sprintf("separate %v band %d readahead %d swap", separate, band, depth), collect(res), want)
 			}
-			res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
-			if err != nil {
-				t.Fatalf("band %d readahead %d: %v", band, depth, err)
-			}
-			exact("band readahead swap", collect(res), want)
 		}
 	}
 }

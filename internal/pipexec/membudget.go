@@ -11,15 +11,15 @@ import (
 // charged against a membudget.Budget before the slab is filled and
 // released as soon as its last consumer drains it. Charges follow the
 // slabs at item granularity, an item being one range band of one CPI (a
-// full-cube run has one item per CPI): the read stage charges an item's
-// band slab when it issues the fetch; the Doppler stage releases it when
+// full-cube run has one item per CPI): the read driver (nextItem) charges
+// an item's band slab when it issues the fetch; the Doppler stage releases it when
 // filtering has consumed it and charges the item's Doppler band in the
 // same breath, plus the CPI's beam cube on its first band; the last
 // weight/BF consumer releases the Doppler band, and CFAR releases the
 // beam cube when the detections are extracted.
 //
 // Deadlock freedom comes from admission ordering, not from luck: only the
-// read stage and the Doppler stage ever block on the budget, and their
+// read driver and the Doppler stage ever block on the budget, and their
 // priorities are keyed to the item index so the oldest in-flight item —
 // the only one whose intermediates can drain the pipe — always outranks
 // newer reads. Every slab admission also leaves the oldest unadmitted
@@ -142,7 +142,9 @@ func (r *runner) tryAcquireReadAhead(item uint64) bool {
 // not be admitted on slab bytes alone — if the slabs of items k and k+1
 // are both charged before the compute admission for k is even enqueued,
 // k's intermediates no longer fit and no downstream stage holds
-// releasable bytes.
+// releasable bytes. Embedded, the Doppler stage admits item k before it
+// asks for k+1, so that wait never blocks; only the separate design's
+// read stage, which runs ahead of the Doppler stage, ever waits in it.
 func (r *runner) acquireReadHead(item uint64, sent int64) error {
 	for r.admitted.Load() < sent {
 		select {
@@ -161,7 +163,7 @@ func (r *runner) acquireReadHead(item uint64, sent int64) error {
 }
 
 // admit records that the Doppler stage has admitted item and wakes a
-// read stage waiting in acquireReadHead.
+// separate read stage waiting in acquireReadHead.
 func (r *runner) admit(item uint64) {
 	r.admitted.Store(int64(item) + 1)
 	select {
@@ -170,7 +172,7 @@ func (r *runner) admit(item uint64) {
 	}
 }
 
-// Slab-charge bookkeeping: the read stage charges each item's band slab
+// Slab-charge bookkeeping: the read driver charges each item's band slab
 // when the fetch is issued; whichever path consumes the slab — Doppler
 // filtering, a drop, or an eviction — releases exactly once. chargeMu
 // guards the map because the pressure handler races the Doppler stage.
@@ -200,8 +202,8 @@ func (r *runner) releaseCubeCharge(item uint64) int64 {
 // item again: it evicts landed readahead items from the window's tail —
 // the ones FIFO delivery consumes last — recycling each slab and
 // releasing its charge, until need bytes are freed. A fetch that landed
-// with an error stays for the retry policy at the head. The read stage
-// re-fetches an evicted item when it reaches the head (readStage), so
+// with an error stays for the retry policy at the head. The read driver
+// re-fetches an evicted item when it reaches the head (nextItem), so
 // eviction writes nothing and a blocked waiter that finds nothing to
 // evict waits for the downstream release admission order guarantees.
 func (r *runner) evict(need int64) (freed int64) {

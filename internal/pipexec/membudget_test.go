@@ -338,7 +338,8 @@ func storeFiles(t *testing.T, root string) []string {
 // re-fetch replays the attempt-0 fetch that landed, so under a fault plan
 // a budgeted run that evicts drops exactly the CPIs an unbudgeted run
 // drops and detects the same, whole cubes and bands alike, and it writes
-// nothing to the store.
+// nothing to the store. Both I/O designs run the same read driver, so the
+// separate design's runs must match the embedded ones too.
 func TestEvictionKeepsFaultOutcomes(t *testing.T) {
 	s := radar.SmallTestScenario()
 	const n = 16
@@ -367,11 +368,12 @@ func TestEvictionKeepsFaultOutcomes(t *testing.T) {
 		cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}
 		cfg.Degrade = DegradeSkipCPI
 		cfg.testLoad = stageLoad{CFAR: 100 * time.Microsecond}
-		run := func(b *membudget.Budget) *Result {
+		run := func(b *membudget.Budget, separate bool) *Result {
 			t.Helper()
 			fs.SetFaults(&pfs.FaultPlan{Seed: 2, FailRate: c.fail, CorruptRate: 0.02})
 			c := cfg
 			c.MemBudget = b
+			c.SeparateIO = separate
 			var res *Result
 			var err error
 			if band == 0 {
@@ -380,29 +382,41 @@ func TestEvictionKeepsFaultOutcomes(t *testing.T) {
 				res, err = RunBanded(context.Background(), c, src, n)
 			}
 			if err != nil {
-				t.Fatalf("band %d: %v", band, err)
+				t.Fatalf("band %d separate %v: %v", band, separate, err)
 			}
 			return res
 		}
-		free := run(nil)
-		slabB := cfg.Params.Dims.Bytes() / int64(cfg.Params.Dims.Ranges) * int64(newBands(s.Dims.Ranges, band).band)
-		tight := run(membudget.New("tight", BandedMinResidency(&cfg.Params, band)+10*slabB))
-		if tight.Stats.Evictions == 0 {
-			t.Errorf("band %d: budgeted run never evicted", band)
+		same := func(label string, got, want *Result) {
+			t.Helper()
+			if !slices.Equal(want.Stats.DroppedSeqs, got.Stats.DroppedSeqs) {
+				t.Errorf("band %d: dropped %v %s, %v embedded without eviction", band, got.Stats.DroppedSeqs, label, want.Stats.DroppedSeqs)
+			}
+			if len(want.CPIs) != len(got.CPIs) {
+				t.Fatalf("band %d: %d CPIs %s, %d embedded without eviction", band, len(got.CPIs), label, len(want.CPIs))
+			}
+			for k := range want.CPIs {
+				if want.CPIs[k].Seq != got.CPIs[k].Seq || !sameDetections(want.CPIs[k].Detections, got.CPIs[k].Detections) {
+					t.Errorf("band %d CPI %d: detections differ %s", band, want.CPIs[k].Seq, label)
+				}
+			}
 		}
+		slabB := cfg.Params.Dims.Bytes() / int64(cfg.Params.Dims.Ranges) * int64(newBands(s.Dims.Ranges, band).band)
+		limit := BandedMinResidency(&cfg.Params, band) + 10*slabB
+		free := run(nil, false)
 		if len(free.Stats.DroppedSeqs) == 0 {
 			t.Errorf("band %d: the fault plan dropped no CPI", band)
 		}
-		if !slices.Equal(free.Stats.DroppedSeqs, tight.Stats.DroppedSeqs) {
-			t.Errorf("band %d: dropped %v with eviction, %v without", band, tight.Stats.DroppedSeqs, free.Stats.DroppedSeqs)
-		}
-		if len(free.CPIs) != len(tight.CPIs) {
-			t.Fatalf("band %d: %d CPIs with eviction, %d without", band, len(tight.CPIs), len(free.CPIs))
-		}
-		for k := range free.CPIs {
-			if free.CPIs[k].Seq != tight.CPIs[k].Seq || !sameDetections(free.CPIs[k].Detections, tight.CPIs[k].Detections) {
-				t.Errorf("band %d CPI %d: detections differ with eviction", band, free.CPIs[k].Seq)
+		for _, separate := range []bool{false, true} {
+			design := "embedded"
+			if separate {
+				design = "separate"
+				same("separate without eviction", run(nil, true), free)
 			}
+			tight := run(membudget.New("tight", limit), separate)
+			if tight.Stats.Evictions == 0 {
+				t.Errorf("band %d: budgeted %s run never evicted", band, design)
+			}
+			same(design+" with eviction", tight, free)
 		}
 	}
 	if got := storeFiles(t, root); !slices.Equal(files, got) {

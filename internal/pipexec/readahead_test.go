@@ -2,8 +2,11 @@ package pipexec
 
 import (
 	"context"
+	"sync"
 	"testing"
+	"time"
 
+	"stapio/internal/cube"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
 )
@@ -174,5 +177,69 @@ func TestPoolsBoundedAtDeepReadahead(t *testing.T) {
 	if bufs > bound || cubes > bound {
 		t.Errorf("pool news bufs=%d cubes=%d over %d CPIs at depth 4, want <= %d (readahead leaks pool items)",
 			bufs, cubes, cpis, bound)
+	}
+}
+
+// residencySource counts the cubes its MemSource has live — begun and not
+// yet recycled — and records the maximum.
+type residencySource struct {
+	*MemSource
+	mu        sync.Mutex
+	live, max int
+}
+
+func (s *residencySource) Begin(seq uint64, attempt int) PendingCube {
+	s.mu.Lock()
+	s.live++
+	s.max = max(s.max, s.live)
+	s.mu.Unlock()
+	return s.MemSource.Begin(seq, attempt)
+}
+
+func (s *residencySource) Recycle(cb *cube.Cube) {
+	if cb == nil {
+		return
+	}
+	s.mu.Lock()
+	s.live--
+	s.mu.Unlock()
+	s.MemSource.Recycle(cb)
+}
+
+// TestReadaheadResidency pins how many input cubes a ReadAhead D run
+// holds. Embedded, the Doppler task drives the window itself and recycles
+// the cube it filtered before asking for the next, so exactly D+1 are
+// live: the one in hand and D in the window. The separate design's
+// read-stage hand-off adds the cube in the channel slot and the one
+// blocked in send, D+3 at most. A Doppler-bound load keeps the window
+// full, so the bound is reached, not just respected.
+func TestReadaheadResidency(t *testing.T) {
+	s := radar.SmallTestScenario()
+	const n = 24
+	for _, separate := range []bool{false, true} {
+		for _, depth := range []int{1, 2, 4} {
+			src := &residencySource{MemSource: ScenarioSource(s)}
+			cfg := testConfig()
+			cfg.SeparateIO = separate
+			cfg.ReadAhead = depth
+			cfg.testLoad = stageLoad{Doppler: 20 * time.Microsecond}
+			res, err := Run(context.Background(), cfg, src, n)
+			if err != nil {
+				t.Fatalf("separate %v depth %d: %v", separate, depth, err)
+			}
+			if len(res.CPIs) != n {
+				t.Fatalf("separate %v depth %d: %d CPIs, want %d", separate, depth, len(res.CPIs), n)
+			}
+			if src.live != 0 {
+				t.Errorf("separate %v depth %d: %d cubes never recycled", separate, depth, src.live)
+			}
+			t.Logf("separate %v depth %d: max %d live cubes", separate, depth, src.max)
+			if !separate && src.max != depth+1 {
+				t.Errorf("embedded depth %d: max %d live cubes, want exactly %d", depth, src.max, depth+1)
+			}
+			if separate && src.max > depth+3 {
+				t.Errorf("separate depth %d: max %d live cubes, want <= %d", depth, src.max, depth+3)
+			}
+		}
 	}
 }

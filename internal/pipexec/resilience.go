@@ -128,8 +128,9 @@ type RunStats struct {
 	// consume it — the pipeline stalled on the source. High stall counts
 	// with a shallow window are the signature of an I/O-bound run.
 	SourceStalls int64
-	// SourceStall is the total time the read stage spent waiting on the
-	// source (head-of-window waits, retries included).
+	// SourceStall is the total time the read driver spent waiting on the
+	// source (head-of-window waits, retries included) — embedded, the
+	// Doppler stage's own I/O wait.
 	SourceStall time.Duration
 	// ReadaheadReady is the mean number of landed fetches in the readahead
 	// window at consumption time — window occupancy. Near 0 means the
@@ -242,8 +243,8 @@ type runStats struct {
 	refetchBytes     atomic.Int64
 }
 
-// snapshot freezes the counters; droppedSeqs is supplied by the read stage
-// (it is the only writer and has exited by collection time).
+// snapshot freezes the counters; droppedSeqs is supplied by the read
+// driver (it is the only writer and has exited by collection time).
 func (s *runStats) snapshot(dropped []uint64) RunStats {
 	return RunStats{
 		Retries:          s.retries.Load(),

@@ -25,8 +25,9 @@ type Config struct {
 	// internally across stripe directories).
 	Workers core.STAPNodes
 	// SeparateIO inserts a dedicated read stage in front of the Doppler
-	// stage (the paper's second I/O design). When false the Doppler stage
-	// consumes the source directly (embedded I/O).
+	// stage (the paper's second I/O design), which hands it items over a
+	// depth-1 channel. When false the Doppler stage drives the readahead
+	// window itself (embedded I/O) and there is no read goroutine.
 	SeparateIO bool
 	// CombinePCCFAR merges pulse compression and CFAR into a single stage
 	// (the paper's Section 6 task combination).
@@ -42,12 +43,14 @@ type Config struct {
 	// is exhausted. The default, DegradeFailFast, aborts the run (the
 	// pre-resilience behaviour).
 	Degrade DegradePolicy
-	// ReadAhead is the readahead depth: how many reads the read stage
-	// keeps in flight beyond the item currently being consumed (a CPI,
-	// or one range band of it under RunBanded).
-	// Values < 1 mean 1, the classic one-deep prefetch (double
-	// buffering); deeper windows hide multi-CPI read latency the same way
-	// pipesim's PrefetchDepth does in the model.
+	// ReadAhead is the readahead depth D: how many reads are kept in
+	// flight beyond the item currently being consumed (a CPI, or one
+	// range band of it under RunBanded). Embedded, a run holds D+1 input
+	// items (the one the Doppler stage filters and D in the window); the
+	// separate design's hand-off adds the item in the channel slot and
+	// the one blocked in send, D+3. Values < 1 mean 1, the classic
+	// one-deep prefetch (double buffering); deeper windows hide multi-CPI
+	// read latency the same way pipesim's PrefetchDepth does in the model.
 	ReadAhead int
 	// DecodeWorkers shards each cube's checksum verification and decode
 	// across this many goroutines when the source has a frontend
@@ -413,7 +416,6 @@ const chanDepth = 1
 func (r *runner) launch() *sync.WaitGroup {
 	cfg := r.cfg
 	buf := chanDepth
-	cubeCh := make(chan cubeMsg, buf)
 	weIn := make(chan dopplerMsg, buf)
 	whIn := make(chan dopplerMsg, buf)
 	bfeIn := make(chan dopplerMsg, buf)
@@ -437,8 +439,21 @@ func (r *runner) launch() *sync.WaitGroup {
 	// Clocks and live worker counts were created by setup(); stages load
 	// their counts from r.wcs once per CPI, so a tuner swap lands cleanly
 	// on a CPI boundary.
-	spawn(func() error { return r.readStage(r.ck.read, cubeCh) })
-	spawn(func() error { return r.dopplerStage(r.ck.dop, cubeCh, weIn, whIn, bfeIn, bfhIn) })
+	// The Doppler task's input: in the separate design a read stage hands
+	// it items over a channel; embedded, it drives the read window itself.
+	var next func() (cubeMsg, bool, error)
+	if cfg.SeparateIO {
+		cubeCh := make(chan cubeMsg, buf)
+		spawn(func() error { return r.readStage(r.ck.read, cubeCh) })
+		next = func() (cubeMsg, bool, error) {
+			msg, ok := recv(r, cubeCh)
+			return msg, ok, nil
+		}
+	} else {
+		c := &readCursor{clk: r.ck.read}
+		next = func() (cubeMsg, bool, error) { return r.nextItem(c) }
+	}
+	spawn(func() error { return r.dopplerStage(r.ck.dop, next, weIn, whIn, bfeIn, bfhIn) })
 	r.pools.easyW = newWeightPool(r.p, r.easyBins, buf)
 	r.pools.hardW = newWeightPool(r.p, r.hardBins, buf)
 	spawn(func() error {
@@ -553,7 +568,7 @@ type runner struct {
 	// etc.); stages Load theirs once per CPI, the tuner (or the test seam)
 	// Stores new counts between CPIs.
 	wcs []atomic.Int32
-	// Live I/O knobs: the readahead depth the read stage loads every
+	// Live I/O knobs: the readahead depth the read driver loads every
 	// window refill, and a mirror of the source's decode worker count.
 	// The tuner (or the test seam) stores them between CPIs exactly like
 	// the compute counts — growing the window issues more prefetches on
@@ -579,8 +594,8 @@ type runner struct {
 	cpisDone   int
 
 	// Resilience bookkeeping: atomic counters shared by the stages, plus
-	// the dropped-CPI list, which only the read stage appends to and which
-	// is read after every stage has exited.
+	// the dropped-CPI list, which only the read driver (nextItem) appends
+	// to and which is read after every stage has exited.
 	stats   runStats
 	dropped []uint64
 
@@ -608,14 +623,14 @@ type runner struct {
 	chargeMu    sync.Mutex
 	cubeCharged map[uint64]bool
 
-	// window is the read stage's readahead FIFO. winMu guards it because
+	// window is the read driver's readahead FIFO. winMu guards it because
 	// the budget's pressure handler evicts from its tail (see evict).
 	winMu  sync.Mutex
 	window []raSlot
 }
 
 // raSlot is one readahead-window entry: item's in-flight fetch, or — once
-// evicted — nothing until the read stage re-fetches it at the head.
+// evicted — nothing until the read driver re-fetches it at the head.
 type raSlot struct {
 	item    uint64
 	pend    PendingCube
@@ -705,16 +720,30 @@ type cubeResult struct {
 	err error
 }
 
+// landing is a PendingCube that exposes its completion channel: once
+// landed() is closed, Wait returns at once. Both built-in pendings — the
+// file, generator and band fetches (asyncFetch) and the streamed rendezvous
+// (streamPending) — implement it.
+type landing interface {
+	PendingCube
+	landed() <-chan struct{}
+}
+
+var (
+	_ landing = (*asyncFetch)(nil)
+	_ landing = (*streamPending)(nil)
+)
+
 // waitCube blocks for an in-flight read, bounding the wait by run
-// cancellation. The built-in file and band fetches expose their
-// completion channel and are awaited in place; any other pending waits in
-// a goroutine, and an abandoned wait's goroutine drains itself once the
-// underlying read completes.
+// cancellation. The built-in pendings are awaited in place on their
+// completion channel; any other pending waits in a goroutine, and an
+// abandoned wait's goroutine drains itself once the underlying read
+// completes.
 func (r *runner) waitCube(p PendingCube) (*cube.Cube, error) {
-	if fp, ok := p.(*asyncFetch); ok {
+	if l, ok := p.(landing); ok {
 		select {
-		case <-fp.done:
-			return fp.cb, fp.err
+		case <-l.landed():
+			return l.Wait()
 		case <-r.ctx.Done():
 			return nil, r.ctx.Err()
 		}
@@ -777,27 +806,35 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 	}
 }
 
-// readStage fetches items through a depth-D readahead window: while item
-// k is being consumed, the reads of items k+1 .. k+D are already in
-// flight (Config.ReadAhead; depth 1 is the classic one-deep prefetch).
-// Fetches complete in any order but are delivered strictly in sequence —
-// the window is a FIFO, so downstream stages never see reordering. In the
-// embedded design the stage still runs as a goroutine, but its channel
-// hand-off is the "read phase" of the Doppler task: the latency clock
-// starts when the Doppler stage receives a CPI's first item. In the
-// separate design the clock starts when the read stage begins waiting for
-// it. Failed reads are retried per Config.Retry and, under a skip policy,
-// their CPI is dropped whole once retries are exhausted; retries re-issue
-// only the item at the window head, while the rest of the window stays in
-// flight. Under a budget, landed items may be evicted back to the source
-// (see evict) and are re-fetched when they reach the head.
-func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
-	defer close(out)
-	issued := 0
-	var sent int64      // items delivered to the Doppler stage
-	var start time.Time // the current CPI's latency start (separate design)
-	dropping := false   // the current CPI was dropped: retire its remaining items
-	for k := 0; k < r.items; k++ {
+// readCursor is the read driver's position: the next item to deliver,
+// the window's issue point, the items already delivered, the current
+// CPI's latency start and drop state, and the clock that times the head
+// wait. Owned by whichever goroutine calls nextItem.
+type readCursor struct {
+	k        int         // the next item to deliver
+	issued   int         // items whose fetch has been issued
+	sent     int64       // items delivered to the Doppler task
+	start    time.Time   // the current CPI's latency start (separate design)
+	dropping bool        // the current CPI was dropped: retire its remaining items
+	clk      *stageClock // the read clock: the head wait
+}
+
+// nextItem is the read driver: it fetches items through a depth-D
+// readahead window and returns the next one, or a drop message for a
+// CPI abandoned after some of its bands were delivered. While item k is
+// being consumed, the reads of items k+1 .. k+D are already in flight
+// (Config.ReadAhead; depth 1 is the classic one-deep prefetch). Fetches
+// complete in any order but are delivered strictly in sequence — the
+// window is a FIFO, so downstream stages never see reordering. Failed
+// reads are retried per Config.Retry and, under a skip policy, their CPI
+// is dropped whole once retries are exhausted; retries re-issue only the
+// item at the window head, while the rest of the window stays in flight.
+// Under a budget, landed items may be evicted back to the source (see
+// evict) and are re-fetched when they reach the head. The bool is false
+// once every item is delivered or the run is cancelled.
+func (r *runner) nextItem(c *readCursor) (cubeMsg, bool, error) {
+	for ; c.k < r.items; c.k++ {
+		k := c.k
 		// Keep depth reads in flight beyond item k (the one about to be
 		// consumed): issue everything up to k+depth that hasn't started.
 		// The depth is loaded fresh every item — the auto-tuner grows or
@@ -806,17 +843,17 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 		// catches up. Delivery stays strictly FIFO either way, so a
 		// rebalance can never reorder items.
 		depth := r.liveReadAhead()
-		for issued < r.items && issued <= k+depth {
-			item := uint64(issued)
+		for c.issued < r.items && c.issued <= k+depth {
+			item := uint64(c.issued)
 			// Budget admission: the window head (the item the pipeline
 			// needs next) blocks for its slab; deeper prefetches are
 			// opportunistic. Both paths take slab bytes only when doing
 			// so still leaves the oldest item's compute intermediates
-			// admissible, so reads can never starve the Doppler stage into
+			// admissible, so reads can never starve the Doppler task into
 			// deadlock. Priorities make the oldest item win every race.
-			if issued == k {
-				if err := r.acquireReadHead(item, sent); err != nil {
-					return r.headErr(item, err)
+			if c.issued == k {
+				if err := r.acquireReadHead(item, c.sent); err != nil {
+					return cubeMsg{}, false, r.headErr(item, err)
 				}
 			} else if !r.tryAcquireReadAhead(item) {
 				break
@@ -826,15 +863,15 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 			r.winMu.Lock()
 			r.window = append(r.window, raSlot{item: item, pend: pend})
 			r.winMu.Unlock()
-			issued++
+			c.issued++
 		}
 		head := r.popHead()
 		_, lo, hi := r.bands.span(uint64(k))
 		last := hi == r.p.Dims.Ranges
 		if lo == 0 {
-			dropping = false
+			c.dropping = false
 		}
-		if dropping {
+		if c.dropping {
 			// A later band of a dropped CPI: retire it unseen. An evicted
 			// one holds neither a slab nor a charge.
 			if !head.evicted {
@@ -846,45 +883,66 @@ func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
 			continue
 		}
 		if head.evicted {
-			if err := r.refetch(&head, sent); err != nil {
-				return r.headErr(head.item, err)
+			if err := r.refetch(&head, c.sent); err != nil {
+				return cubeMsg{}, false, r.headErr(head.item, err)
 			}
 		}
 		startWait := time.Now()
 		cb, err := r.awaitCube(k, head.pend)
 		if err != nil {
-			return err
+			return cubeMsg{}, false, err
 		}
 		wait := time.Since(startWait)
-		clk.addItem(wait, last || cb == nil)
+		c.clk.addItem(wait, last || cb == nil)
 		r.stats.sourceStallNS.Add(int64(wait))
 		if r.ctx.Err() != nil {
-			return nil
+			return cubeMsg{}, false, nil
 		}
 		if cb == nil {
 			// Dropped under a skip policy: the slab never reaches the
-			// Doppler stage, so its charge retires here. Bands already
+			// Doppler task, so its charge retires here. Bands already
 			// delivered are discarded downstream.
 			r.releaseCubeCharge(uint64(k))
-			dropping = true
-			if lo > 0 && !send(r, out, cubeMsg{item: uint64(k), drop: true}) {
-				return nil
+			c.dropping = true
+			if lo > 0 {
+				c.k++
+				return cubeMsg{item: uint64(k), drop: true}, true, nil
 			}
 			continue
 		}
 		if lo == 0 {
-			start = startWait
+			c.start = startWait
 		}
 		msg := cubeMsg{item: uint64(k), cb: cb}
 		if r.cfg.SeparateIO {
-			msg.start = start
+			msg.start = c.start
+		}
+		c.k++
+		c.sent = int64(c.k)
+		return msg, true, nil
+	}
+	return cubeMsg{}, false, nil
+}
+
+// readStage is the separate design's eighth task: it runs the read driver
+// (nextItem) in its own goroutine and hands each item to the Doppler
+// stage over a depth-1 channel. The hand-off costs two decoded items
+// beyond the embedded design — the one in the channel slot and the one
+// blocked in send — so a ReadAhead D run holds up to D+3 input items. The
+// latency clock starts when the read stage begins waiting for a CPI's
+// first item.
+func (r *runner) readStage(clk *stageClock, out chan<- cubeMsg) error {
+	defer close(out)
+	c := &readCursor{clk: clk}
+	for {
+		msg, ok, err := r.nextItem(c)
+		if err != nil || !ok {
+			return err
 		}
 		if !send(r, out, msg) {
 			return nil
 		}
-		sent = int64(k) + 1
 	}
-	return nil
 }
 
 // popHead takes the window head. It first samples the occupancy — how
@@ -935,8 +993,15 @@ func (r *runner) liveReadAhead() int {
 // Each worker owns a DopplerScratch built once for the whole run, the
 // output band is leased from the pool, and the input slab is handed back
 // to the source as soon as filtering has consumed it. A CPI's first item
-// also leases the beam cube its BF stages fill.
-func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, bfeOut, bfhOut chan<- dopplerMsg) error {
+// also leases the beam cube its BF stages fill. next yields the stage's
+// input: the separate design's read-stage channel, or — embedded — the
+// read driver itself (nextItem), so the Doppler task issues the next
+// reads before it filters the item in hand, the paper's iread/iowait
+// loop. Embedded, a ReadAhead D run thus holds D+1 input items: the one
+// being filtered, whose slab is recycled before the next call, and D in
+// the window. The latency clock starts when the stage has a CPI's first
+// item in hand.
+func (r *runner) dopplerStage(clk *stageClock, next func() (cubeMsg, bool, error), weOut, whOut, bfeOut, bfhOut chan<- dopplerMsg) error {
 	defer close(weOut)
 	defer close(whOut)
 	defer close(bfeOut)
@@ -953,9 +1018,9 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 		return true
 	}
 	for {
-		msg, ok := recv(r, in)
-		if !ok {
-			return nil
+		msg, ok, err := next()
+		if err != nil || !ok {
+			return err
 		}
 		if msg.drop {
 			clk.addItem(0, true)
@@ -1002,7 +1067,7 @@ func (r *runner) dopplerStage(clk *stageClock, in <-chan cubeMsg, weOut, whOut, 
 		}
 		t0 := time.Now()
 		h := r.pools.getDoppler(seq, hi-lo)
-		err := parallel(workers, hi-lo, func(widx int, blk cube.Block) error {
+		err = parallel(workers, hi-lo, func(widx int, blk cube.Block) error {
 			if err := stap.DopplerFilterBand(r.p, msg.cb, blk, h.dc, scratches[widx]); err != nil {
 				return err
 			}

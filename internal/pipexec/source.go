@@ -8,8 +8,10 @@
 //
 // Input arrives through a CubeSource, either the striped parallel file
 // system backend (pfs.RealFS, with iread/iowait-style prefetch) or an
-// in-memory generator. Both I/O designs are supported: embedded (the
-// Doppler stage consumes reads directly) and a separate read stage.
+// in-memory generator. Both I/O designs are supported and share one read
+// driver that keeps a readahead window of D fetches in flight: embedded,
+// the Doppler stage drives it itself and a run holds D+1 input cubes;
+// separate, a read stage drives it and hands cubes over a channel, D+3.
 package pipexec
 
 import (
@@ -70,7 +72,7 @@ type PendingCube interface {
 	// Wait blocks until the cube is available.
 	Wait() (*cube.Cube, error)
 	// Ready reports, without blocking, whether Wait would return at once
-	// (a delivered error counts). The read stage uses it to count
+	// (a delivered error counts). The read driver uses it to count
 	// readahead-window occupancy and pipeline stalls on the source.
 	Ready() bool
 }
@@ -168,7 +170,7 @@ func (f *frontend) clocks() srcClocks {
 // eagerly: as soon as the striped read lands, a goroutine verifies and
 // decodes the payload — sharded across DecodeWorkers goroutines — so with
 // readahead depth > 1 the decode work of several CPIs overlaps instead of
-// serialising on the pipeline's read stage.
+// serialising on the pipeline's read driver.
 //
 // Each chunk's CRC is verified; a corrupt chunk is re-read individually
 // (ChunkRetries attempts, each re-drawing the fault plan) rather than
@@ -337,10 +339,11 @@ type asyncFetch struct {
 // fetch goroutine verifies and decodes the payload once the read lands.
 // On an async store the fetch goroutine issues the read itself, so Begin
 // returns at once; on a sync-only store (PIOFS semantics) the read lands
-// before Begin returns and cannot overlap anything. The read's fault-plan
-// tag folds the CPI sequence number in with the attempt: staging files are
-// reused round-robin, so without the seq every visit to a file would draw
-// the same injected fate.
+// before Begin returns and cannot overlap anything — embedded, the Doppler
+// stage issues the window's reads, so it pays them itself. The read's
+// fault-plan tag folds the CPI sequence number in with the attempt:
+// staging files are reused round-robin, so without the seq every visit to
+// a file would draw the same injected fate.
 func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
 	rb := s.getBuf()
 	name := s.fileName(seq)
@@ -377,6 +380,9 @@ func (p *asyncFetch) Wait() (*cube.Cube, error) {
 	<-p.done
 	return p.cb, p.err
 }
+
+// landed closes once the fetch has resolved.
+func (p *asyncFetch) landed() <-chan struct{} { return p.done }
 
 // Ready implements PendingCube.
 func (p *asyncFetch) Ready() bool {

@@ -134,6 +134,9 @@ func (p *streamPending) Wait() (*cube.Cube, error) {
 	return p.e.cb, nil
 }
 
+// landed closes once the rendezvous has resolved.
+func (p *streamPending) landed() <-chan struct{} { return p.e.done }
+
 // Ready implements PendingCube. A delivered error counts as ready — the
 // window's occupancy accounting wants "will Wait return without blocking",
 // not "is there a cube".

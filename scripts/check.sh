@@ -39,16 +39,24 @@ echo "$out" | grep -q 'below the minimum residency'
 # descriptors: the store keeps one open per (staging file, stripe dir),
 # 64 at pfsgen's default 16 dirs x 4 files, so a handle leaked per read
 # runs out within 64 CPIs. Skip-CPI turns the failed opens into drops,
-# and this seed drops none.
+# and this seed drops none. The smoke runs twice, embedded and with
+# -separate-io: both designs share one read driver, so their detection
+# lines must be identical.
 data=$tmp/data
 go run ./cmd/pfsgen -root "$data" -small >/dev/null
-out=$(ulimit -n 128 && "$stapdetect" -data "$data" -small -cpis 64 -band 16 -readahead 4 \
-    -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K)
-echo "$out" | grep -q ' drops=0 '
-if [ -n "$(find "$data" -name 'spill_*')" ]; then
-    echo "budgeted run wrote spill files into the dataset" >&2
-    exit 1
-fi
+for design in embedded separate; do
+    flag=
+    if [ "$design" = separate ]; then flag=-separate-io; fi
+    out=$(ulimit -n 128 && "$stapdetect" -data "$data" -small -cpis 64 -band 16 -readahead 4 \
+        -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K $flag)
+    echo "$out" | grep -q ' drops=0 '
+    echo "$out" | grep '^  beam=' >"$tmp/beams.$design"
+    if [ -n "$(find "$data" -name 'spill_*')" ]; then
+        echo "budgeted run wrote spill files into the dataset" >&2
+        exit 1
+    fi
+done
+diff "$tmp/beams.embedded" "$tmp/beams.separate"
 sh scripts/serve_smoke.sh
 sh scripts/chaos_smoke.sh
 for w in paper-file slowstore-file mid-banded small-serve; do
