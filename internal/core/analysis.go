@@ -51,6 +51,39 @@ type Analysis struct {
 	Bottleneck int
 }
 
+// Timing evaluates task i of p as if it ran on nodes nodes, against the
+// node counts its producers and consumers currently hold. It is the one
+// evaluation of T_i: Analyze, the optimiser and the simulator all call it.
+// fsCfg must be valid when the task does I/O (Analyze checks).
+func Timing(p *Pipeline, prof machine.Profile, fsCfg pfs.Config, i, nodes int) TaskTiming {
+	t := p.Tasks[i]
+	tt := TaskTiming{Name: t.Name, Nodes: nodes}
+	tt.Compute = prof.ComputeTime(t.Flops, nodes)
+	tt.Overhead = prof.Overhead(nodes, t.KernelCount())
+	for _, d := range t.Deps {
+		tt.Recv += prof.CommTime(d.Bytes, p.Tasks[d.From].Nodes, nodes)
+	}
+	for _, c := range p.Consumers(i) {
+		tt.Send += prof.CommTime(c.Dep.Bytes, nodes, p.Tasks[c.To].Nodes)
+	}
+	if t.ReadBytes > 0 {
+		tt.Read = fsCfg.EstimateReadTime(0, int64(t.ReadBytes))
+	}
+	if t.WriteBytes > 0 {
+		// Writes use the same striped service path as reads.
+		tt.Write = fsCfg.EstimateReadTime(0, int64(t.WriteBytes))
+	}
+	switch {
+	case t.ReadBytes <= 0 && t.WriteBytes <= 0:
+		tt.Service = tt.Rest()
+	case fsCfg.Async:
+		tt.Service = maxf(tt.Read+tt.Write, tt.Rest())
+	default:
+		tt.Service = tt.Read + tt.Write + tt.Rest()
+	}
+	return tt
+}
+
 // Analyze computes the analytic model. fsCfg supplies the file system for
 // tasks with ReadBytes > 0; it may be the zero Config if no task reads.
 func Analyze(p *Pipeline, prof machine.Profile, fsCfg pfs.Config) (*Analysis, error) {
@@ -63,36 +96,13 @@ func Analyze(p *Pipeline, prof machine.Profile, fsCfg pfs.Config) (*Analysis, er
 	n := len(p.Tasks)
 	timings := make([]TaskTiming, n)
 	for i, t := range p.Tasks {
-		tt := TaskTiming{Name: t.Name, Nodes: t.Nodes}
-		tt.Compute = prof.ComputeTime(t.Flops, t.Nodes)
-		tt.Overhead = prof.Overhead(t.Nodes, t.KernelCount())
-		for _, d := range t.Deps {
-			tt.Recv += prof.CommTime(d.Bytes, p.Tasks[d.From].Nodes, t.Nodes)
-		}
-		for _, c := range p.Consumers(i) {
-			tt.Send += prof.CommTime(c.Dep.Bytes, t.Nodes, p.Tasks[c.To].Nodes)
-		}
 		if t.ReadBytes > 0 || t.WriteBytes > 0 {
 			if err := fsCfg.Validate(); err != nil {
 				return nil, fmt.Errorf("core: task %d (%s) does I/O but file system config invalid: %w",
 					i, t.Name, err)
 			}
-			if t.ReadBytes > 0 {
-				tt.Read = fsCfg.EstimateReadTime(0, int64(t.ReadBytes))
-			}
-			if t.WriteBytes > 0 {
-				// Writes use the same striped service path as reads.
-				tt.Write = fsCfg.EstimateReadTime(0, int64(t.WriteBytes))
-			}
-			if fsCfg.Async {
-				tt.Service = maxf(tt.Read+tt.Write, tt.Rest())
-			} else {
-				tt.Service = tt.Read + tt.Write + tt.Rest()
-			}
-		} else {
-			tt.Service = tt.Rest()
 		}
-		timings[i] = tt
+		timings[i] = Timing(p, prof, fsCfg, i, t.Nodes)
 	}
 
 	a := &Analysis{Pipeline: p, Timings: timings}

@@ -11,9 +11,11 @@ import (
 // by hand; this solves the underlying design problem: given a total node
 // budget, assign nodes to tasks to maximise throughput (minimise the
 // maximum task service time), optionally breaking ties in favour of
-// latency. The marginal-allocation greedy is optimal here because every
-// task's service time is non-increasing in its own node count and
-// independent of the other tasks' counts.
+// latency. Balance is the one solver: OptimizeAssignment runs it over the
+// analytic T_i (Timing), and the online tuner (internal/tune) runs it over
+// measured service times. The marginal-allocation greedy is optimal here
+// because every task's service time is non-increasing in its own node
+// count and independent of the other tasks' counts.
 
 // Assignment maps task index to node count.
 type Assignment []int
@@ -42,40 +44,45 @@ func (p *Pipeline) Apply(a Assignment) (*Pipeline, error) {
 	return out, nil
 }
 
-// serviceTimeWith computes task i's analytic service time if it ran on n
-// nodes (holding every other task's assignment fixed — service times are
-// separable except for communication pairings, which we evaluate against
-// the current counterpart counts).
-func serviceTimeWith(p *Pipeline, prof machine.Profile, fsCfg pfs.Config, i, n int) float64 {
-	t := p.Tasks[i]
-	tt := prof.ComputeTime(t.Flops, n) + prof.Overhead(n, t.KernelCount())
-	for _, d := range t.Deps {
-		tt += prof.CommTime(d.Bytes, p.Tasks[d.From].Nodes, n)
+// Balance distributes total nodes over n tasks by marginal allocation,
+// the paper's balance condition (throughput = 1/max T_i) solved as
+// discrete water-filling. service(a, i, nodes) is task i's service time on
+// nodes nodes while the other tasks hold a. Starting from one node each,
+// every further node goes to the task with the largest service time that
+// one more node still improves; among tasks within 1e-12 of it, the larger
+// gain wins. Balance stops early when no grant improves any task (capped,
+// idle or I/O-bound tasks), so the result may total less than total; a
+// total below n leaves every task its one node.
+func Balance(n, total int, service func(a Assignment, i, nodes int) float64) Assignment {
+	a := make(Assignment, n)
+	for i := range a {
+		a[i] = 1
 	}
-	for _, c := range p.Consumers(i) {
-		tt += prof.CommTime(c.Dep.Bytes, n, p.Tasks[c.To].Nodes)
-	}
-	var io float64
-	if t.ReadBytes > 0 {
-		io += fsCfg.EstimateReadTime(0, int64(t.ReadBytes))
-	}
-	if t.WriteBytes > 0 {
-		io += fsCfg.EstimateReadTime(0, int64(t.WriteBytes))
-	}
-	if io > 0 {
-		if fsCfg.Async {
-			return maxf(io, tt)
+	for used := n; used < total; used++ {
+		best, bestSvc, bestGain := -1, 0.0, 0.0
+		for i := range a {
+			svc := service(a, i, a[i])
+			gain := svc - service(a, i, a[i]+1)
+			if gain <= 0 {
+				continue
+			}
+			if best == -1 || svc > bestSvc+1e-12 ||
+				(svc > bestSvc-1e-12 && gain > bestGain) {
+				best, bestSvc, bestGain = i, svc, gain
+			}
 		}
-		return io + tt
+		if best == -1 {
+			break
+		}
+		a[best]++
 	}
-	return tt
+	return a
 }
 
 // OptimizeAssignment distributes total nodes over the pipeline's tasks to
-// minimise the bottleneck service time: starting from one node each, it
-// repeatedly grants the next node to the task with the largest current
-// service time (skipping tasks whose service no longer improves, e.g.
-// I/O-bound ones). It returns the assignment and the predicted analysis.
+// minimise the bottleneck service time: Balance over each task's analytic
+// Timing. Nodes that cannot improve throughput are then spent on latency
+// (refineLatency). It returns the assignment and the predicted analysis.
 func OptimizeAssignment(p *Pipeline, prof machine.Profile, fsCfg pfs.Config, total int) (Assignment, *Analysis, error) {
 	n := len(p.Tasks)
 	if total < n {
@@ -87,51 +94,15 @@ func OptimizeAssignment(p *Pipeline, prof machine.Profile, fsCfg pfs.Config, tot
 	if err := prof.Validate(); err != nil {
 		return nil, nil, err
 	}
-	a := make(Assignment, n)
-	for i := range a {
-		a[i] = 1
-	}
 	work := p.Clone()
-	install := func() {
-		for i, v := range a {
-			work.Tasks[i].Nodes = v
+	a := Balance(n, total, func(a Assignment, i, nodes int) float64 {
+		for j, v := range a {
+			work.Tasks[j].Nodes = v
 		}
-	}
-	install()
-	svc := make([]float64, n)
-	refresh := func() {
-		for i := range svc {
-			svc[i] = serviceTimeWith(work, prof, fsCfg, i, a[i])
-		}
-	}
-	refresh()
-	for used := n; used < total; used++ {
-		// Pick the current bottleneck that can still improve.
-		best, bestGain := -1, 0.0
-		for i := range svc {
-			gain := svc[i] - serviceTimeWith(work, prof, fsCfg, i, a[i]+1)
-			if gain <= 0 {
-				continue
-			}
-			// Prefer relieving the largest service time; among tasks
-			// within epsilon of the bottleneck, prefer the larger gain.
-			if best == -1 || svc[i] > svc[best]+1e-12 ||
-				(svc[i] > svc[best]-1e-12 && gain > bestGain) {
-				best, bestGain = i, gain
-			}
-		}
-		if best == -1 {
-			// Throughput cannot improve further. Spend what remains on
-			// latency: give nodes to whichever task yields the largest
-			// analytic latency reduction, while never increasing the
-			// period.
-			rest := total - used
-			a = refineLatency(work, prof, fsCfg, a, rest)
-			break
-		}
-		a[best]++
-		install()
-		refresh()
+		return Timing(work, prof, fsCfg, i, nodes).Service
+	})
+	if rest := total - a.Total(); rest > 0 {
+		a = refineLatency(p, prof, fsCfg, a, rest)
 	}
 	final, err := p.Apply(a)
 	if err != nil {

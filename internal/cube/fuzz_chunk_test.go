@@ -27,12 +27,12 @@ func FuzzChunkData(f *testing.F) {
 	payload := frame[h.PayloadOffset():]
 	chunk3 := payload[64*3 : 64*4]
 
-	f.Add(3, chunk3)                                 // clean chunk
-	f.Add(3, chunk3[:10])                            // truncated mid-chunk
-	f.Add(0, chunk3)                                 // right bytes, wrong index
-	f.Add(-1, []byte{})                              // hostile index
-	f.Add(h.Chunks(), chunk3)                        // index past the table
-	f.Add(h.Chunks()-1, payload[len(payload)-64:])   // last (short) chunk
+	f.Add(3, chunk3)                               // clean chunk
+	f.Add(3, chunk3[:10])                          // truncated mid-chunk
+	f.Add(0, chunk3)                               // right bytes, wrong index
+	f.Add(-1, []byte{})                            // hostile index
+	f.Add(h.Chunks(), chunk3)                      // index past the table
+	f.Add(h.Chunks()-1, payload[len(payload)-64:]) // last (short) chunk
 	corrupt := append([]byte(nil), chunk3...)
 	corrupt[7] ^= 0x40
 	f.Add(3, corrupt) // CRC mismatch mid-stream

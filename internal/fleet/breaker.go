@@ -46,9 +46,9 @@ func (c *BreakerConfig) probeTimeout() time.Duration {
 
 // Breaker states.
 const (
-	stateClosed int32 = iota // healthy: traffic flows
-	stateOpen                // tripped: no traffic until the cooldown
-	stateHalfOpen            // probing: exactly one trial in flight
+	stateClosed   int32 = iota // healthy: traffic flows
+	stateOpen                  // tripped: no traffic until the cooldown
+	stateHalfOpen              // probing: exactly one trial in flight
 )
 
 func stateName(s int32) string {

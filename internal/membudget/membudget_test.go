@@ -35,7 +35,7 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 
 func TestUnlimitedStillAccounts(t *testing.T) {
 	b := New("root", 0)
-	if err := b.Acquire(context.Background(), 1 << 40); err != nil {
+	if err := b.Acquire(context.Background(), 1<<40); err != nil {
 		t.Fatalf("unlimited acquire: %v", err)
 	}
 	if got := b.HighWater(); got != 1<<40 {

@@ -323,21 +323,17 @@ func (r *runner) build() {
 	r.slotReaders = make([]int, r.opts.StagingFiles)
 	r.slotWriters = make([]int, r.opts.StagingFiles)
 	for i, t := range r.pipe.Tasks {
-		s := &stage{
+		tm := core.Timing(r.pipe, r.prof, r.fsCfg, i, t.Nodes)
+		r.stages[i] = &stage{
 			r: r, idx: i, task: t,
 			tokens:         make(map[token]bool),
-			computeTime:    r.prof.ComputeTime(t.Flops, t.Nodes) + r.prof.Overhead(t.Nodes, t.KernelCount()),
+			recvTime:       tm.Recv,
+			computeTime:    tm.Compute + tm.Overhead,
+			sendTime:       tm.Send,
 			readIssued:     -1,
 			waitingOn:      -1,
 			startedThrough: -1,
 		}
-		for _, d := range t.Deps {
-			s.recvTime += r.prof.CommTime(d.Bytes, r.pipe.Tasks[d.From].Nodes, t.Nodes)
-		}
-		for _, c := range r.pipe.Consumers(i) {
-			s.sendTime += r.prof.CommTime(c.Dep.Bytes, t.Nodes, r.pipe.Tasks[c.To].Nodes)
-		}
-		r.stages[i] = s
 	}
 	// Prime: async readers issue their prefetch window at t=0; all stages
 	// try to start CPI 0.

@@ -83,7 +83,9 @@ func TestForwardWindowedManyValidates(t *testing.T) {
 	for _, bad := range []func(){
 		func() { p.ForwardWindowedMany(srcs, win, nil) },
 		func() { p.ForwardWindowedMany(srcs, win[:4], [][]complex128{make([]complex128, 8)}) },
-		func() { p.ForwardWindowedMany([][]complex64{make([]complex64, 4)}, win, [][]complex128{make([]complex128, 8)}) },
+		func() {
+			p.ForwardWindowedMany([][]complex64{make([]complex64, 4)}, win, [][]complex128{make([]complex128, 8)})
+		},
 		func() { p.ForwardWindowedMany(srcs, win, [][]complex128{make([]complex128, 4)}) },
 	} {
 		func() {

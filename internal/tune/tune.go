@@ -5,10 +5,10 @@
 // The paper (and cmd/stapopt) solves the same problem offline: given the
 // per-task workloads W_i and a node budget P, assign P_i to minimise the
 // bottleneck service time max_i W_i/P_i (eqs. (1)-(15) reduce throughput
-// to 1/max_i T_i). The marginal-allocation greedy is optimal because each
-// task's service time is non-increasing in its own worker count and
-// independent of the others'. The controller here runs the identical
-// discrete water-filling, but against *measured* busy times instead of the
+// to 1/max_i T_i). Both solve it with one marginal-allocation greedy,
+// core.Balance, which is optimal because each task's service time is
+// non-increasing in its own worker count and independent of the others'.
+// The controller runs it against *measured* busy times instead of the
 // analytic model: every decision window it estimates each stage's serial
 // work, re-solves the split, and applies it only when the predicted
 // bottleneck improvement clears a hysteresis threshold (so measurement
@@ -41,6 +41,8 @@ package tune
 import (
 	"fmt"
 	"time"
+
+	"stapio/internal/core"
 )
 
 // Config parameterises the controller.
@@ -212,9 +214,9 @@ type Controller struct {
 	lastService []float64
 	lastEffW    []int
 
-	// scratch reused across decisions to keep Observe allocation-light.
+	// work is each stage's serial work per CPI as of its last measured
+	// window (a serial stage that landed nothing keeps its previous value).
 	work []float64
-	caps []int
 }
 
 // NewController validates the configuration and returns a controller
@@ -255,10 +257,8 @@ func NewController(cfg Config, stages []Stage, initial []int) (*Controller, erro
 		lastService: make([]float64, n),
 		lastEffW:    make([]int, n),
 		work:        make([]float64, n),
-		caps:        make([]int, n),
 	}
-	for i, s := range c.stages {
-		c.caps[i] = s.Max
+	for i := range c.eff {
 		c.eff[i] = 1
 	}
 	return c, nil
@@ -384,11 +384,13 @@ func (c *Controller) decide(busyNS, cpis []int64) bool {
 		dc := cpis[i] - c.prevCPI[i]
 		if dc <= 0 {
 			if c.stages[i].Serial {
-				// A serial (I/O) stage that issued nothing this window has
-				// drained its input: it is no longer a constraint, so its
-				// work is zero rather than unmeasurable.
+				// A serial (I/O) stage that landed nothing this window ran
+				// ahead of consumption (or its input ended): its fetches
+				// did not get cheaper, so it keeps the work it last
+				// measured, zero if it never measured any. Zeroing it
+				// would hand its slots to compute on every window where
+				// the window is already full of landed items.
 				service[i] = 0
-				c.work[i] = 0
 				continue
 			}
 			// A compute stage saw no CPIs (a skip policy dropped
@@ -424,17 +426,19 @@ func (c *Controller) decide(busyNS, cpis []int64) bool {
 			bottleneck = i
 		}
 	}
-	next := BalanceEfficiency(c.work, c.budget, c.caps, c.eff)
+	// Stage i's modelled service at w workers: its serial work over the
+	// rate of the workers that carry it. The same height drives the
+	// re-solve and the old/new bottleneck comparison.
+	svc := func(_ core.Assignment, i, w int) float64 {
+		return c.work[i] / rate(c.effFor(i), c.effective(i, w))
+	}
+	next := core.Balance(n, c.budget, svc)
 
 	oldMax, newMax := 0.0, 0.0
 	changed := false
 	for i := 0; i < n; i++ {
-		if v := c.work[i] / rate(c.effFor(i), c.effective(i, c.split[i])); v > oldMax {
-			oldMax = v
-		}
-		if v := c.work[i] / rate(c.effFor(i), c.effective(i, next[i])); v > newMax {
-			newMax = v
-		}
+		oldMax = max(oldMax, svc(nil, i, c.split[i]))
+		newMax = max(newMax, svc(nil, i, next[i]))
 		if next[i] != c.split[i] {
 			changed = true
 		}
@@ -472,60 +476,6 @@ func (c *Controller) effFor(i int) float64 {
 		return 1
 	}
 	return c.eff[i]
-}
-
-// Balance distributes budget workers over stages with estimated serial
-// work per CPI, minimising the bottleneck service time max_i work_i/w_i —
-// the paper's balance condition (equalise busy/workers across stages) as
-// discrete water-filling under perfect scaling. See BalanceEfficiency for
-// the generalised height function.
-func Balance(work []float64, budget int, caps []int) []int {
-	return BalanceEfficiency(work, budget, caps, nil)
-}
-
-// BalanceEfficiency is Balance with per-stage scaling efficiencies: stage
-// i's service at w workers is modelled as work_i/rate(e_i, w) with
-// rate(e, w) = 1 + e(w-1), so a stage with e < 1 is credited less speedup
-// per extra worker and the greedy hands its surplus to stages that can
-// use it. eff may be nil (or hold entries <= 0) for perfect scaling.
-// Every stage gets at least one worker; caps, when non-nil and positive,
-// bound per-stage counts. The greedy stays optimal: each height is
-// strictly decreasing in its own worker count (e > 0) and independent of
-// the other stages. Stages with zero work keep exactly one worker.
-// Unusable budget (everything capped) is left unassigned, as is a budget
-// below the stage count (every stage keeps its mandatory single worker).
-func BalanceEfficiency(work []float64, budget int, caps []int, eff []float64) []int {
-	n := len(work)
-	w := make([]int, n)
-	for i := range w {
-		w[i] = 1
-	}
-	effOf := func(i int) float64 {
-		if eff == nil {
-			return 1
-		}
-		return eff[i]
-	}
-	height := func(i int) float64 { return work[i] / rate(effOf(i), w[i]) }
-	for used := n; used < budget; used++ {
-		best := -1
-		for i := range w {
-			if work[i] <= 0 {
-				continue
-			}
-			if caps != nil && caps[i] > 0 && w[i] >= caps[i] {
-				continue
-			}
-			if best == -1 || height(i) > height(best) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		w[best]++
-	}
-	return w
 }
 
 // EvenSplit distributes budget over n stages as evenly as possible — the

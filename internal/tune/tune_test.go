@@ -1,105 +1,22 @@
 package tune
 
 import (
-	"math"
 	"math/rand"
 	"testing"
+
+	"stapio/internal/core"
 )
 
-// bruteForceMax finds the optimal bottleneck height by exhaustive search
-// over all splits of budget (small instances only).
-func bruteForceMax(work []float64, budget int, caps []int) float64 {
-	n := len(work)
-	best := math.Inf(1)
-	var rec func(i, left int, cur []int)
-	rec = func(i, left int, cur []int) {
-		if i == n {
-			if left != 0 {
-				return
-			}
-			h := 0.0
-			for j, w := range cur {
-				if v := work[j] / float64(w); v > h {
-					h = v
-				}
-			}
-			if h < best {
-				best = h
-			}
-			return
+// balanced is core.Balance over perfectly scaling stages, each capped at
+// caps[i] when positive (caps may be nil): the split the controller must
+// converge to.
+func balanced(work []float64, budget int, caps []int) core.Assignment {
+	return core.Balance(len(work), budget, func(_ core.Assignment, i, w int) float64 {
+		if caps != nil && caps[i] > 0 && w > caps[i] {
+			w = caps[i]
 		}
-		max := left - (n - i - 1)
-		for w := 1; w <= max; w++ {
-			if caps != nil && caps[i] > 0 && w > caps[i] {
-				break
-			}
-			cur[i] = w
-			rec(i+1, left-w, cur)
-		}
-	}
-	rec(0, budget, make([]int, n))
-	return best
-}
-
-func heightOf(work []float64, split []int) float64 {
-	h := 0.0
-	for i, w := range split {
-		if v := work[i] / float64(w); v > h {
-			h = v
-		}
-	}
-	return h
-}
-
-func TestBalanceMatchesBruteForce(t *testing.T) {
-	cases := []struct {
-		work   []float64
-		budget int
-		caps   []int
-	}{
-		{[]float64{4, 2, 20, 2, 2, 4, 4}, 14, nil},
-		{[]float64{1, 1, 1, 1}, 8, nil},
-		{[]float64{10, 1, 1}, 6, nil},
-		{[]float64{5, 5, 5}, 10, []int{2, 0, 0}},
-		{[]float64{7, 3, 9, 1}, 9, []int{0, 1, 4, 0}},
-	}
-	for _, c := range cases {
-		got := Balance(c.work, c.budget, c.caps)
-		sum := 0
-		for i, w := range got {
-			sum += w
-			if w < 1 {
-				t.Fatalf("Balance(%v,%d): stage %d got %d workers", c.work, c.budget, i, w)
-			}
-			if c.caps != nil && c.caps[i] > 0 && w > c.caps[i] {
-				t.Errorf("Balance(%v,%d): stage %d exceeds cap %d with %d", c.work, c.budget, i, c.caps[i], w)
-			}
-		}
-		if sum > c.budget {
-			t.Errorf("Balance(%v,%d) used %d workers", c.work, c.budget, sum)
-		}
-		want := bruteForceMax(c.work, c.budget, c.caps)
-		if got := heightOf(c.work, got); got > want*(1+1e-9) {
-			t.Errorf("Balance(%v,%d): bottleneck %g, optimum %g", c.work, c.budget, got, want)
-		}
-	}
-}
-
-func TestBalanceZeroWorkKeepsOneWorker(t *testing.T) {
-	got := Balance([]float64{0, 10, 0}, 9, nil)
-	if got[0] != 1 || got[2] != 1 {
-		t.Errorf("zero-work stages should keep exactly 1 worker, got %v", got)
-	}
-	if got[1] != 7 {
-		t.Errorf("all spare budget should flow to the loaded stage, got %v", got)
-	}
-}
-
-func TestBalanceAllCappedLeavesBudgetUnused(t *testing.T) {
-	got := Balance([]float64{5, 5}, 10, []int{2, 2})
-	if got[0] != 2 || got[1] != 2 {
-		t.Errorf("caps must bound the split, got %v", got)
-	}
+		return work[i] / float64(w)
+	})
 }
 
 func TestEvenSplit(t *testing.T) {
@@ -180,7 +97,7 @@ func TestControllerConvergesToBalance(t *testing.T) {
 	work := []float64{4e6, 2e6, 20e6, 2e6, 2e6, 4e6, 4e6}
 	simulate(t, c, work, 40)
 	got := c.Split()
-	want := Balance(work, 14, nil)
+	want := balanced(work, 14, nil)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("converged split %v, water-filling optimum %v", got, want)
@@ -334,114 +251,6 @@ func TestControllerSkipsWindowWithoutCPIs(t *testing.T) {
 	}
 }
 
-// ---- joint-solve edge cases (I/O-aware, efficiency-aware Balance) ----
-
-// bruteForceMaxEff is bruteForceMax under the rate model: stage service at
-// w workers is work/rate(eff, w).
-func bruteForceMaxEff(work []float64, budget int, caps []int, eff []float64) float64 {
-	n := len(work)
-	best := math.Inf(1)
-	var rec func(i, left int, cur []int)
-	rec = func(i, left int, cur []int) {
-		if i == n {
-			if left != 0 {
-				return
-			}
-			h := 0.0
-			for j, w := range cur {
-				if v := work[j] / rate(eff[j], w); v > h {
-					h = v
-				}
-			}
-			if h < best {
-				best = h
-			}
-			return
-		}
-		max := left - (n - i - 1)
-		for w := 1; w <= max; w++ {
-			if caps != nil && caps[i] > 0 && w > caps[i] {
-				break
-			}
-			cur[i] = w
-			rec(i+1, left-w, cur)
-		}
-	}
-	rec(0, budget, make([]int, n))
-	return best
-}
-
-func TestBalanceBudgetOfOne(t *testing.T) {
-	// A budget of 1 over one stage is the degenerate minimum: the single
-	// mandatory worker, nothing to distribute.
-	if got := Balance([]float64{5e6}, 1, nil); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Balance single stage, budget 1 = %v, want [1]", got)
-	}
-	// A budget below the stage count cannot strip the mandatory workers:
-	// every stage keeps exactly one (the controller refuses such budgets
-	// up front; Balance itself must still be safe).
-	got := Balance([]float64{5e6, 1e6, 3e6}, 1, nil)
-	for i, w := range got {
-		if w != 1 {
-			t.Errorf("stage %d got %d workers from an infeasible budget", i, w)
-		}
-	}
-}
-
-func TestBalanceEfficiencyMatchesBruteForce(t *testing.T) {
-	cases := []struct {
-		work   []float64
-		budget int
-		caps   []int
-		eff    []float64
-	}{
-		// Efficiency < 1 on every stage.
-		{[]float64{4, 2, 20, 2}, 10, nil, []float64{0.5, 0.8, 0.6, 0.9}},
-		{[]float64{10, 10}, 8, nil, []float64{0.3, 0.3}},
-		// Mixed: a perfectly-scaling I/O stage against lossy compute.
-		{[]float64{12, 5, 5}, 9, nil, []float64{1, 0.4, 0.4}},
-		// Caps still bind under the rate model.
-		{[]float64{9, 9, 1}, 9, []int{2, 0, 0}, []float64{0.7, 0.7, 0.7}},
-	}
-	for _, c := range cases {
-		got := BalanceEfficiency(c.work, c.budget, c.caps, c.eff)
-		sum := 0
-		for i, w := range got {
-			sum += w
-			if w < 1 {
-				t.Fatalf("BalanceEfficiency(%v,%d): stage %d got %d workers", c.work, c.budget, i, w)
-			}
-			if c.caps != nil && c.caps[i] > 0 && w > c.caps[i] {
-				t.Errorf("BalanceEfficiency(%v,%d): stage %d exceeds cap %d", c.work, c.budget, i, c.caps[i])
-			}
-		}
-		if sum > c.budget {
-			t.Errorf("BalanceEfficiency(%v,%d) used %d workers", c.work, c.budget, sum)
-		}
-		h := 0.0
-		for i, w := range got {
-			if v := c.work[i] / rate(c.eff[i], w); v > h {
-				h = v
-			}
-		}
-		want := bruteForceMaxEff(c.work, c.budget, c.caps, c.eff)
-		if h > want*(1+1e-9) {
-			t.Errorf("BalanceEfficiency(%v,%d,eff=%v): bottleneck %g, optimum %g (split %v)",
-				c.work, c.budget, c.eff, h, want, got)
-		}
-	}
-}
-
-func TestBalanceEfficiencyZeroWorkKeepsOneWorker(t *testing.T) {
-	got := BalanceEfficiency([]float64{0, 10, 0}, 9, nil, []float64{0.5, 0.5, 0.5})
-	if got[0] != 1 || got[2] != 1 {
-		t.Errorf("zero-work stages should keep exactly 1 worker, got %v", got)
-	}
-	if got[1] != 7 {
-		t.Errorf("all spare budget should flow to the loaded stage, got %v", got)
-	}
-}
-
 // TestControllerIOStageDominant drives a controller whose first stage is a
 // serial I/O frontend: its busy counter records a constant per-fetch
 // latency regardless of the assigned depth (fetches overlap), while the
@@ -468,7 +277,7 @@ func TestControllerIOStageDominant(t *testing.T) {
 		c.Observe(busy, count)
 	}
 	got := c.Split()
-	want := Balance([]float64{readLatency, computeWork}, 8, []int{32, 0})
+	want := balanced([]float64{readLatency, computeWork}, 8, []int{32, 0})
 	if got[0] != want[0] || got[1] != want[1] {
 		t.Errorf("converged split %v, want the joint optimum %v", got, want)
 	}
@@ -480,9 +289,9 @@ func TestControllerIOStageDominant(t *testing.T) {
 	}
 }
 
-// TestControllerDrainedSerialStage: a serial stage whose counter stops
-// advancing (source drained) is measured as zero work rather than starving
-// the window — the compute stages can still be rebalanced.
+// TestControllerDrainedSerialStage: a serial stage whose counter never
+// advances (a source that landed nothing) is measured as zero work rather
+// than starving the window — the compute stages can still be rebalanced.
 func TestControllerDrainedSerialStage(t *testing.T) {
 	stages := []Stage{{Name: "src read", Serial: true}, {Name: "a"}, {Name: "b"}}
 	c, err := NewController(Config{Interval: 2, Warmup: 2, Hysteresis: -1}, stages, []int{4, 2, 2})
@@ -510,6 +319,53 @@ func TestControllerDrainedSerialStage(t *testing.T) {
 	for _, d := range c.Trace() {
 		if d.Reason == ReasonStarved {
 			t.Errorf("drained serial stage must not starve the window: %+v", d)
+		}
+	}
+}
+
+// TestControllerIdleSerialStageKeepsItsWork: once a serial stage has
+// measured its fetch latency, windows in which it lands nothing (the
+// window ran ahead of consumption, or the input ended) hold that work
+// instead of zeroing it, so the prefetch depth it earned is not handed
+// back to compute.
+func TestControllerIdleSerialStageKeepsItsWork(t *testing.T) {
+	stages := []Stage{{Name: "src read", Max: 32, Serial: true}, {Name: "compute"}}
+	c, err := NewController(Config{Interval: 2, Warmup: 2, Hysteresis: -1}, stages, []int{1, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		readLatency = 3e6
+		computeWork = 1e6
+	)
+	busy := make([]int64, 2)
+	count := make([]int64, 2)
+	step := func(landed bool) {
+		if landed {
+			busy[0] += readLatency
+			count[0]++
+		}
+		busy[1] += int64(computeWork / float64(c.Split()[1]))
+		count[1]++
+		c.Observe(busy, count)
+	}
+	for k := 0; k < 20; k++ {
+		step(true)
+	}
+	converged := c.Split()
+	if converged[0] <= 1 {
+		t.Fatalf("I/O-dominant load never grew the window: %v", converged)
+	}
+	before := len(c.Trace())
+	for k := 0; k < 10; k++ {
+		step(false)
+	}
+	if got := c.Split(); got[0] != converged[0] || got[1] != converged[1] {
+		t.Errorf("idle windows moved the split %v -> %v", converged, got)
+	}
+	for _, d := range c.Trace()[before:] {
+		if d.Reason == ReasonStarved {
+			t.Errorf("an idle serial stage must not starve the window: %+v", d)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Pre-commit gate: vet, staticcheck (when installed), build, the
+# Pre-commit gate: gofmt, vet, staticcheck (when installed), build, the
 # race-instrumented test suite, the nested bench module, the smokes and the
 # ledger correctness smoke. Mirrors .github/workflows/ci.yml.
 set -eux
 cd "$(dirname "$0")/.."
+test -z "$(gofmt -l .)"
 go vet ./...
 # staticcheck is optional locally (no network install here); CI always
 # runs it, so a missing binary skips rather than fails.
