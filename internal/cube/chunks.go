@@ -3,7 +3,6 @@ package cube
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -144,18 +143,6 @@ func ParseHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// VerifyChunk checks one payload chunk against its stored CRC.
-func VerifyChunk(h *Header, payload []byte, i int) error {
-	lo, hi := h.ChunkSpan(i)
-	if int64(len(payload)) < hi {
-		return fmt.Errorf("%w: payload is %d bytes, chunk %d ends at %d", ErrTruncated, len(payload), i, hi)
-	}
-	if got := Checksum(payload[lo:hi]); got != h.ChunkCRCs[i] {
-		return fmt.Errorf("%w: chunk %d CRC %08x, table says %08x (CPI %d)", ErrCorrupt, i, got, h.ChunkCRCs[i], h.Seq)
-	}
-	return nil
-}
-
 // VerifyChunks checks payload chunks [lo, hi) against the header's chunk
 // table and appends the indices of mismatching chunks to bad, returning the
 // extended slice. A payload shorter than the chunked span is ErrTruncated.
@@ -214,25 +201,4 @@ func DecodeChunkData(cb *Cube, h *Header, i int, data []byte) {
 			math.Float32frombits(binary.LittleEndian.Uint32(data[s*8:])),
 			math.Float32frombits(binary.LittleEndian.Uint32(data[s*8+4:])))
 	}
-}
-
-// DecodeChunkFrom reads payload chunk i straight from r, verifies it, and
-// decodes it into cb. scratch is reused when large enough (grown
-// otherwise) and returned so callers can amortise it across chunks. On a
-// CRC mismatch the chunk's bytes have still been consumed from r.
-func DecodeChunkFrom(r io.Reader, cb *Cube, h *Header, i int, scratch []byte) ([]byte, error) {
-	lo, hi := h.ChunkSpan(i)
-	n := int(hi - lo)
-	if cap(scratch) < n {
-		scratch = make([]byte, n)
-	}
-	scratch = scratch[:n]
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return scratch, fmt.Errorf("%w: chunk %d: %v", ErrTruncated, i, err)
-	}
-	if err := VerifyChunkData(h, i, scratch); err != nil {
-		return scratch, err
-	}
-	DecodeChunkData(cb, h, i, scratch)
-	return scratch, nil
 }

@@ -96,11 +96,11 @@ func TestChunkedDetectsAndLocatesCorruption(t *testing.T) {
 	if len(bad) != 1 || bad[0] != 2 {
 		t.Fatalf("bad chunks = %v, want [2]", bad)
 	}
-	if err := VerifyChunk(&h, payload, 2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("VerifyChunk(2) = %v, want ErrCorrupt", err)
-	}
-	if err := VerifyChunk(&h, payload, 1); err != nil {
-		t.Fatalf("clean chunk rejected: %v", err)
+	for i, want := range map[int]error{2: ErrCorrupt, 1: nil} {
+		lo, hi := h.ChunkSpan(i)
+		if err := VerifyChunkData(&h, i, payload[lo:hi]); !errors.Is(err, want) {
+			t.Fatalf("VerifyChunkData(%d) = %v, want %v", i, err, want)
+		}
 	}
 	// The whole-file reader also rejects it, typed.
 	if _, _, err := Read(bytes.NewReader(flipped)); !errors.Is(err, ErrCorrupt) {

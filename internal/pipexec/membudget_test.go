@@ -360,7 +360,7 @@ func TestEvictionKeepsFaultOutcomes(t *testing.T) {
 	for _, c := range []struct {
 		band int
 		fail float64
-	}{{0, 0.05}, {16, 0.005}} {
+	}{{0, 0.15}, {16, 0.005}} {
 		band := c.band
 		cfg := testConfig()
 		cfg.BandRanges = band

@@ -96,8 +96,8 @@ func (pl *pipePools) putBeam(bc *stap.BeamCube) {
 // weightPool recycles one bin set's WeightSets between its weight stage,
 // which solves each CPI's weights into a set it takes from the pool, and
 // its beamforming stage, which hands back the set it was beamforming with
-// as soon as the next CPI's set replaces it — the weight-stage analogue of
-// the Doppler hand-back. The free list is a buffered channel sized to hold
+// as soon as the CPI's last band is beamformed — the weight-stage analogue
+// of the Doppler hand-back. The free list is a buffered channel sized to hold
 // every set in flight, so put never blocks and news stays bounded by the
 // pipeline depth.
 type weightPool struct {

@@ -60,6 +60,10 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 		t.Fatalf("fault-free run reported resilience activity: %v", got)
 	}
 
+	// One chunk re-read round: a chunk still corrupt after it fails the
+	// fetch with a checksum error, which the retry layer answers with a
+	// whole new fetch.
+	src.ChunkRetries = 1
 	plan := &pfs.FaultPlan{Seed: 1, FailRate: 0.05, CorruptRate: 0.05}
 	fs.SetFaults(plan)
 	faulted, err := Run(context.Background(), cfg, src, n)
@@ -74,14 +78,13 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 		t.Error("expected injected failures to force retries")
 	}
 	// Payload corruption is absorbed by chunk-level repair (the dataset is
-	// chunked v3); corruption landing in the header/chunk-table region has
-	// no per-chunk CRC to repair against, so it still surfaces as a
-	// checksum failure and a whole-file retry. Seed 1 exercises both.
+	// chunked v3); a chunk the one re-read round cannot repair surfaces as
+	// a checksum failure and a whole-fetch retry. Seed 1 exercises both.
 	if st.ChunkRereads == 0 || st.RepairedReads == 0 {
 		t.Errorf("expected injected payload corruption to be chunk-repaired: %v", st)
 	}
 	if st.ChecksumFailures == 0 {
-		t.Error("expected header-area corruption to trip the cube checksum")
+		t.Error("expected an unrepaired chunk to trip the cube checksum")
 	}
 	if len(faulted.CPIs) != n {
 		t.Fatalf("got %d CPIs, want %d", len(faulted.CPIs), n)

@@ -52,9 +52,11 @@ type Config struct {
 	// one-deep prefetch (double buffering); deeper windows hide multi-CPI
 	// read latency the same way pipesim's PrefetchDepth does in the model.
 	ReadAhead int
-	// DecodeWorkers shards each cube's checksum verification and decode
+	// DecodeWorkers shards each fetch's checksum verification and decode
 	// across this many goroutines when the source has a frontend
-	// (CubeSource.Frontend). Values < 1 mean 1, the serial behaviour.
+	// (CubeSource.Frontend) or, under RunBanded, is a FileSource, whose
+	// band fetches are its whole-cube fetch. Values < 1 mean 1, the serial
+	// behaviour.
 	DecodeWorkers int
 	// AutoTune, when non-nil, enables the online worker rebalancer: a
 	// tune.Controller watches the live per-stage busy counters and swaps
@@ -1235,9 +1237,6 @@ func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *
 			if ws.Seq != prevSeq {
 				return fmt.Errorf("pipexec: beamforming CPI %d got weights for CPI %d, want CPI %d", seq, ws.Seq, prevSeq)
 			}
-			// The previous CPI's beamforming has finished with cur: hand it
-			// back to the weight stage to solve a later CPI into.
-			pool.put(cur)
 			cur = ws
 			owed = false
 		}
@@ -1260,6 +1259,10 @@ func (r *runner) bfStage(clk *stageClock, in <-chan dopplerMsg, weights <-chan *
 			continue
 		}
 		owed, prevSeq = true, seq
+		// The CPI's beamforming has finished with cur, and nothing reads it
+		// before the owed set replaces it: hand it back now, so the weight
+		// stage solves a later CPI into it instead of building a new set.
+		pool.put(cur)
 		if !send(r, out, beamMsg{seq: seq, bc: msg.bc, start: msg.start}) {
 			return nil
 		}

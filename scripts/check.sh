@@ -36,28 +36,39 @@ echo "$out" | grep -q 'below the minimum residency'
 # Banded fault smoke: band reads from a striped dataset through a
 # readahead window under injected failures and corruption, skip-CPI
 # degradation and a budget below one cube's residency. Eviction re-reads
-# the dataset and must never write spill files into it. The run gets 128
+# the dataset and must never write spill files into it. Each run gets 128
 # descriptors: the store keeps one open per (staging file, stripe dir),
 # 64 at pfsgen's default 16 dirs x 4 files, so a handle leaked per read
 # runs out within 64 CPIs. Skip-CPI turns the failed opens into drops,
-# and this seed drops none. The smoke runs twice, embedded and with
-# -separate-io: both designs share one read driver, so their detection
-# lines must be identical.
+# and this seed drops none. Four legs run on the same data, faults and
+# seed: 16-gate bands embedded and with -separate-io (both designs share
+# one read driver), a whole-cube run and a run in one band of the full
+# extent. Every leg's detection lines must be identical, and the whole
+# cube and the one full band are one fetch, so their resilience counters
+# must be identical too.
 data=$tmp/data
 go run ./cmd/pfsgen -root "$data" -small >/dev/null
-for design in embedded separate; do
-    flag=
-    if [ "$design" = separate ]; then flag=-separate-io; fi
-    out=$(ulimit -n 128 && "$stapdetect" -data "$data" -small -cpis 64 -band 16 -readahead 4 \
-        -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip -membudget 100K $flag)
+for leg in embedded separate whole band64; do
+    case $leg in
+    embedded) flags="-band 16 -membudget 100K" ;;
+    separate) flags="-band 16 -membudget 100K -separate-io" ;;
+    whole) flags="-membudget 150K" ;;
+    band64) flags="-band 64 -membudget 150K" ;;
+    esac
+    out=$(ulimit -n 128 && "$stapdetect" -data "$data" -small -cpis 64 -readahead 4 \
+        -faults fail=0.05,corrupt=0.02,seed=7 -degrade skip $flags)
     echo "$out" | grep -q ' drops=0 '
-    echo "$out" | grep '^  beam=' >"$tmp/beams.$design"
+    echo "$out" | grep '^  beam=' >"$tmp/beams.$leg"
+    echo "$out" | grep '^resilience:' >"$tmp/resilience.$leg"
     if [ -n "$(find "$data" -name 'spill_*')" ]; then
         echo "budgeted run wrote spill files into the dataset" >&2
         exit 1
     fi
 done
-diff "$tmp/beams.embedded" "$tmp/beams.separate"
+for leg in separate whole band64; do
+    diff "$tmp/beams.embedded" "$tmp/beams.$leg"
+done
+diff "$tmp/resilience.whole" "$tmp/resilience.band64"
 sh scripts/serve_smoke.sh
 sh scripts/chaos_smoke.sh
 for w in paper-file slowstore-file mid-banded small-serve; do
