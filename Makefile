@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check smoke bench ledger
+.PHONY: all build vet test race check smoke ledger
 
 all: check
 
@@ -23,11 +23,6 @@ check:
 # Loopback smoke of the network detection service (stapserve + staploadgen).
 smoke:
 	sh scripts/serve_smoke.sh
-
-# The paper's tables, figures and ablations on the simulated machines
-# (bench_test.go; EXPERIMENTS.md cites them).
-bench:
-	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The benchmark ledger (bench/, BENCHMARK.json): every workload end to end
 # plus the per-layer rows. Pass flags through ARGS, e.g.

@@ -34,8 +34,6 @@ func main() {
 		Title:   fmt.Sprintf("Detection performance, %d Monte-Carlo trials per cell", cfg.Trials),
 		Columns: []string{"SNR (dB)", "CA Pd", "CA Pfa", "OS Pd", "OS Pfa"},
 	}
-	chart := &report.BarChart{Title: "Pd vs SNR (CA-CFAR)", Unit: "Pd"}
-	group := report.BarGroup{Label: "SNR sweep"}
 	// The chain has ~27 dB of processing gain (Doppler integration, pulse
 	// compression, beamforming), so the interesting region is well below
 	// 0 dB per-sample SNR.
@@ -54,19 +52,10 @@ func main() {
 				log.Fatal(err)
 			}
 			row = append(row, fmt.Sprintf("%.2f", stats.Pd()), fmt.Sprintf("%.1e", stats.Pfa()))
-			if kind == stap.CFARCellAveraging {
-				group.Bars = append(group.Bars, report.Bar{
-					Label: fmt.Sprintf("%2.0f dB", snr),
-					Value: stats.Pd(),
-				})
-			}
 		}
 		t.AddRow(row...)
 	}
-	chart.Group = []report.BarGroup{group}
 	t.Render(os.Stdout)
-	fmt.Println()
-	chart.Render(os.Stdout)
 	fmt.Println()
 	fmt.Println("Pd rises with SNR along the classic detection curve; the false-alarm rate")
 	fmt.Println("stays near the CFAR design point independent of the target (that is the")

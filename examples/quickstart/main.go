@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"os"
 
 	"stapio/internal/core"
 	"stapio/internal/cube"
@@ -56,8 +57,9 @@ func main() {
 
 	// 4. Inspect the reports. The first CPI uses non-adaptive weights
 	// (nothing to train on yet); later CPIs use weights trained on the
-	// previous CPI and suppress the clutter ridge.
-	fmt.Printf("processed %d CPIs in %v (%.1f CPIs/s)\n",
+	// previous CPI and suppress the clutter ridge. Wall-clock timing goes
+	// to stderr; stdout is deterministic.
+	fmt.Fprintf(os.Stderr, "processed %d CPIs in %v (%.1f CPIs/s)\n",
 		len(res.CPIs), res.Elapsed.Round(1e6), res.Throughput)
 	fmt.Println("ground truth:")
 	for _, tg := range scenario.Targets {

@@ -31,6 +31,7 @@ func main() {
 		Unit:  "CPIs/s",
 	}
 	group := report.BarGroup{Label: "stripe factor sweep"}
+	// The knee is the last stripe factor that still raised throughput.
 	var prev float64
 	knee := 0
 	for _, sf := range []int{4, 8, 16, 32, 64, 128} {
@@ -42,19 +43,17 @@ func main() {
 			Label: fmt.Sprintf("stripe=%3d", sf),
 			Value: res.Throughput,
 		})
-		if prev > 0 && res.Throughput < prev*1.05 && knee == 0 {
+		if res.Throughput >= prev*1.05 {
 			knee = sf
 		}
 		prev = res.Throughput
 	}
 	chart.Group = []report.BarGroup{group}
 	chart.Render(os.Stdout)
-	if knee > 0 {
-		fmt.Printf("\nthroughput stops improving around stripe factor %d — beyond that the\n", knee)
-		fmt.Println("Doppler task's compute time, not the file system, limits the pipeline.")
-	}
+	fmt.Printf("\nthroughput stops improving after stripe factor %d — beyond that the\n", knee)
+	fmt.Println("Doppler task's compute time, not the file system, limits the pipeline.")
 
-	// Show the bottlenecked schedule at the smallest stripe factor.
+	// Show the bottlenecked schedule at stripe factor 8.
 	fmt.Println()
 	traceOpts := pipesim.Options{CPIs: 24, Warmup: 8, PrefetchDepth: 1, BufferDepth: 2, Trace: true}
 	res, err := pipesim.Run(p, prof, pfs.ParagonPFS(8), traceOpts)

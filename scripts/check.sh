@@ -15,6 +15,8 @@ else
 fi
 go build ./...
 go test -race ./...
+# Every example runs as a checked Example; one without tests would not run.
+test -z "$(go test ./examples/... | grep -F '[no test files]')"
 (cd bench && go vet ./... && go test ./...)
 # The smokes run one stapdetect binary, built once.
 tmp=$(mktemp -d)
