@@ -27,10 +27,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 
 	"stapio/internal/core"
-	"stapio/internal/cube"
 	"stapio/internal/membudget"
 	"stapio/internal/pfs"
 	"stapio/internal/pipexec"
@@ -159,10 +157,7 @@ func main() {
 	}
 	cfg.BandRanges = *band
 
-	var (
-		src     pipexec.CubeSource
-		fileSrc *pipexec.FileSource
-	)
+	var src pipexec.CubeSource
 	if *data != "" {
 		fs, err := pfs.CreateReal(*data, *dirs, *unit, true)
 		if err != nil {
@@ -178,11 +173,9 @@ func main() {
 			fmt.Printf("injecting faults: %v; degradation policy %v, %d read attempts\n",
 				plan, policy, cfg.Retry.MaxAttempts)
 		}
-		fsrc, err := pipexec.NewFileSource(fs, sc.Dims, *files)
-		if err != nil {
+		if src, err = pipexec.NewFileSource(fs, sc.Dims, *files); err != nil {
 			fatal(err)
 		}
-		src, fileSrc = fsrc, fsrc
 		fmt.Printf("reading %v CPIs from striped dataset %s (stripe factor %d)\n", sc.Dims, *data, *dirs)
 	} else {
 		if *faults != "" {
@@ -204,20 +197,13 @@ func main() {
 		}
 	}
 
-	var res *pipexec.Result
 	if *band > 0 {
 		if *stream {
 			fatal(fmt.Errorf("-band reads range bands from -data or the generator; -stream delivers whole cubes"))
 		}
-		bsrc := pipexec.BandedSource(fileSrc)
-		if fileSrc == nil {
-			bsrc = bandedScenarioSource(sc)
-		}
 		fmt.Printf("banded execution: %d range bins per band\n", *band)
-		res, err = pipexec.RunBanded(context.Background(), cfg, bsrc, *cpis)
-	} else {
-		res, err = pipexec.Run(context.Background(), cfg, src, *cpis)
 	}
+	res, err := pipexec.Run(context.Background(), cfg, src, *cpis)
 	if err != nil {
 		fatal(err)
 	}
@@ -309,31 +295,6 @@ func main() {
 				d.Beam, d.Bin, d.Range, d.Power, d.SNR(&params))
 		}
 	}
-}
-
-// bandedScenarioSource adapts an in-memory generator scenario to banded
-// execution: the full cube is synthesised once per CPI and bands are copied
-// out of it. Real out-of-core runs come from -data, where ReadBand fetches
-// only the band's chunks; this adapter exists so -band is demonstrable
-// without staging a dataset.
-func bandedScenarioSource(sc *radar.Scenario) pipexec.BandedSource {
-	var (
-		mu   sync.Mutex // band reads overlap under readahead
-		seq  = ^uint64(0)
-		full *cube.Cube
-	)
-	return pipexec.FuncBandSource(func(k uint64, lo, hi int, dst *cube.Cube) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if k != seq {
-			cb, err := sc.Generate(k)
-			if err != nil {
-				return err
-			}
-			full, seq = cb, k
-		}
-		return stap.CopyBand(dst, full, lo)
-	})
 }
 
 func fatal(err error) {

@@ -12,7 +12,8 @@ func Example() {
 	//   -6        0.92   0.0e+00  0.50   0.0e+00
 	//   -4        1.00   0.0e+00  0.67   0.0e+00
 	//
-	// Pd rises with SNR along the classic detection curve; the false-alarm rate
-	// stays near the CFAR design point independent of the target (that is the
-	// 'constant false alarm rate' property the detector is named for).
+	// Pd rises with SNR along the classic detection curve. False alarms over all
+	// SNR rows:
+	//   CA: none in 184320 cells: observed Pfa < 1/184320 = 5.4e-06
+	//   OS: none in 184320 cells: observed Pfa < 1/184320 = 5.4e-06
 }

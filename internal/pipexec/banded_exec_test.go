@@ -3,41 +3,42 @@ package pipexec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"stapio/internal/cube"
 	"stapio/internal/membudget"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
-	"stapio/internal/stap"
 )
 
-// scenarioBandSource adapts a generator scenario to BandedSource: the full
-// cube is built once per CPI and bands are copied out of it. Band reads
-// overlap under readahead, so the cached cube is guarded.
-func scenarioBandSource(t *testing.T, s *radar.Scenario) BandedSource {
+// scenarioBandSource is a MemSource over a generator scenario that keeps
+// the last CPI it generated, so the bands of one CPI generate it once.
+// Band fetches overlap under readahead, so the cached cube is guarded.
+func scenarioBandSource(t *testing.T, s *radar.Scenario) *MemSource {
 	t.Helper()
 	var (
 		mu   sync.Mutex
 		seq  = ^uint64(0)
-		full *cube.Cube
+		last *cube.Cube
 	)
-	return FuncBandSource(func(k uint64, lo, hi int, dst *cube.Cube) error {
+	return &MemSource{Generate: func(k uint64) (*cube.Cube, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if k != seq {
 			cb, err := s.Generate(k)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			full, seq = cb, k
+			last, seq = cb, k
 		}
-		return stap.CopyBand(dst, full, lo)
-	})
+		return last, nil
+	}}
 }
 
-// TestRunBandedMatchesReference: the banded executor must reproduce the
+// TestRunBandedMatchesReference: a banded run must reproduce the
 // sequential chain's detections bit-exactly at every band size — including
 // bands that do not divide the range extent — and with covariance
 // smoothing on.
@@ -50,7 +51,7 @@ func TestRunBandedMatchesReference(t *testing.T) {
 		want := referenceDetections(t, cfg.Params, s, n)
 		for _, band := range []int{1, 7, 16, s.Dims.Ranges - 1, s.Dims.Ranges, 0} {
 			cfg.BandRanges = band
-			res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+			res, err := Run(context.Background(), cfg, scenarioBandSource(t, s), n)
 			if err != nil {
 				t.Fatalf("band %d forgetting %v: %v", band, forgetting, err)
 			}
@@ -91,7 +92,7 @@ func TestRunBandedFromFiles(t *testing.T) {
 	for _, dw := range []int{1, 3} {
 		cfg.DecodeWorkers = dw
 		cfg.MemBudget = membudget.New("test", budgetBytes)
-		res, err := RunBanded(context.Background(), cfg, src, n)
+		res, err := Run(context.Background(), cfg, src, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestRunBandedFromFiles(t *testing.T) {
 	}
 }
 
-// TestReadBandMatchesCube pins FileSource.ReadBand sample-for-sample
+// TestReadBandMatchesCube pins FileSource.Begin's band fetch sample-for-sample
 // against the staged cubes, across band positions, sizes, and chunk
 // geometries (bands inside one chunk, spanning chunks, and chunk-aligned).
 func TestReadBandMatchesCube(t *testing.T) {
@@ -123,9 +124,9 @@ func TestReadBandMatchesCube(t *testing.T) {
 		d := s.Dims
 		for _, band := range [][2]int{{0, 1}, {0, d.Ranges}, {5, 12}, {31, 33}, {d.Ranges - 1, d.Ranges}} {
 			lo, hi := band[0], band[1]
-			dst := cube.New(cube.Dims{Channels: d.Channels, Pulses: d.Pulses, Ranges: hi - lo})
 			for seq := 0; seq < files; seq++ {
-				if err := src.ReadBand(uint64(seq), lo, hi, dst); err != nil {
+				dst, err := src.Begin(uint64(seq), lo, hi, 0).Wait()
+				if err != nil {
 					t.Fatalf("chunk %d band [%d,%d) seq %d: %v", chunkSize, lo, hi, seq, err)
 				}
 				full := kept[seq]
@@ -137,6 +138,7 @@ func TestReadBandMatchesCube(t *testing.T) {
 						}
 					}
 				}
+				src.Recycle(dst)
 			}
 		}
 	}
@@ -193,8 +195,65 @@ func TestRunBandedBudgetTooSmall(t *testing.T) {
 	cfg := testConfig()
 	cfg.BandRanges = 8
 	cfg.MemBudget = membudget.New("tiny", BandedMinResidency(&cfg.Params, 8)-1)
-	_, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), 1)
+	_, err := Run(context.Background(), cfg, scenarioBandSource(t, s), 1)
 	if !errors.Is(err, membudget.ErrBudgetExceeded) {
 		t.Fatalf("want ErrBudgetExceeded, got %v", err)
 	}
+}
+
+// RunBanded is a shim over Run with Config.BandRanges. Over a *FileSource
+// it is the same run: the same detections, drops and fault counters under
+// a fault plan. Over a FuncBandSource wrapping the file source's ReadBand
+// it delivers the same detections and counters on a clean store.
+func TestRunBandedShim(t *testing.T) {
+	s := radar.SmallTestScenario()
+	const n = 8
+	fs, src, _ := chunkedKeepStore(t, s, n, 256)
+	cfg := testConfig()
+	cfg.BandRanges = 16
+	cfg.ReadAhead = 4
+	cfg.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond}
+	cfg.Degrade = DegradeSkipCPI
+	run := func(leg string, plan *pfs.FaultPlan, banded bool, bsrc BandedSource) *Result {
+		t.Helper()
+		fs.SetFaults(plan)
+		var res *Result
+		var err error
+		if banded {
+			res, err = RunBanded(context.Background(), cfg, bsrc, n)
+		} else {
+			res, err = Run(context.Background(), cfg, src, n)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", leg, err)
+		}
+		return res
+	}
+	same := func(leg string, got, want *Result) {
+		t.Helper()
+		counters := func(st RunStats) string {
+			return fmt.Sprintf("%v dropped=%v reread-bytes=%d", st, st.DroppedSeqs, st.ChunkRereadBytes)
+		}
+		if g, w := counters(got.Stats), counters(want.Stats); g != w {
+			t.Errorf("%s: counters %s, Run with BandRanges %s", leg, g, w)
+		}
+		if len(got.CPIs) != len(want.CPIs) {
+			t.Fatalf("%s: %d CPIs, Run with BandRanges %d", leg, len(got.CPIs), len(want.CPIs))
+		}
+		for k := range want.CPIs {
+			if got.CPIs[k].Seq != want.CPIs[k].Seq || !sameDetections(got.CPIs[k].Detections, want.CPIs[k].Detections) {
+				t.Errorf("%s CPI %d: detections differ from Run with BandRanges", leg, want.CPIs[k].Seq)
+			}
+		}
+	}
+	plan := func() *pfs.FaultPlan { return &pfs.FaultPlan{Seed: 7, FailRate: 0.02, CorruptRate: 0.02} }
+	want := run("Run", plan(), false, nil)
+	if st := want.Stats; st.Retries == 0 || st.ChunkRereads == 0 {
+		t.Fatalf("the fault plan neither retried nor repaired: %v", st)
+	}
+	same("RunBanded over *FileSource", run("RunBanded", plan(), true, src), want)
+
+	clean := run("clean Run", nil, false, nil)
+	read := FuncBandSource(func(seq uint64, lo, hi int, dst *cube.Cube) error { return src.ReadBand(seq, lo, hi, dst) })
+	same("RunBanded over FuncBandSource", run("RunBanded", nil, true, read), clean)
 }

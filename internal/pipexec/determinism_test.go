@@ -93,7 +93,7 @@ func TestDetectionDeterminism(t *testing.T) {
 	for _, band := range []int{1, 7, s.Dims.Ranges} {
 		cfg := testConfig()
 		cfg.BandRanges = band
-		res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+		res, err := Run(context.Background(), cfg, scenarioBandSource(t, s), n)
 		if err != nil {
 			t.Fatalf("band %d: %v", band, err)
 		}
@@ -113,7 +113,7 @@ func TestDetectionDeterminism(t *testing.T) {
 				cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
 					set(cpi%7, 1+cpi%3)
 				}
-				res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+				res, err := Run(context.Background(), cfg, scenarioBandSource(t, s), n)
 				if err != nil {
 					t.Fatalf("separate %v band %d readahead %d: %v", separate, band, depth, err)
 				}

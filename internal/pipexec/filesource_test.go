@@ -1,6 +1,7 @@
 package pipexec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -35,8 +36,7 @@ func fileSourceOn(t *testing.T, async bool, chunk int) (*FileSource, *pfs.RealFS
 // the striped read lands in the fetch goroutine; on a sync-only store
 // (PIOFS semantics) the read lands before Begin returns. A latency spike
 // on every stripe read makes the difference visible, for a whole cube and
-// for a band through RunBanded's adapter alike, and both stores deliver
-// the same samples.
+// for a band alike, and both stores deliver the same samples.
 func TestFileSourceBeginSyncAsync(t *testing.T) {
 	const delay = 200 * time.Millisecond
 	const band = 16
@@ -46,10 +46,9 @@ func TestFileSourceBeginSyncAsync(t *testing.T) {
 		src, fs, s := fileSourceOn(t, async, cube.DefaultChunkSize)
 		d = s.Dims
 		fs.SetFaults(&pfs.FaultPlan{Seed: 1, SlowRate: 1, SlowDelay: delay})
-		bands := newBandCubes(src, d, band)
 		for j, begin := range []func() PendingCube{
-			func() PendingCube { return src.Begin(1, 0) },
-			func() PendingCube { return bands.Begin(uint64(bands.bands.nb)+2, 0) },
+			func() PendingCube { return src.Begin(1, 0, d.Ranges, 0) },
+			func() PendingCube { return src.Begin(1, 2*band, 3*band, 0) },
 		} {
 			leg := [2]string{"whole cube", "band"}[j]
 			t0 := time.Now()
@@ -149,15 +148,15 @@ func TestFileSourceChecksEveryFileHeader(t *testing.T) {
 // RepairedReads counts fetches that chunk re-reads salvaged, not chunks:
 // a band fetch that needed several re-reads adds exactly one.
 func TestRepairedReadsCountsFetches(t *testing.T) {
-	src, fs, s := fileSourceOn(t, true, 256)
+	src, fs, _ := fileSourceOn(t, true, 256)
 	fs.SetFaults(&pfs.FaultPlan{Seed: 3, CorruptRate: 0.3})
-	d := s.Dims
-	dst := cube.New(cube.Dims{Channels: d.Channels, Pulses: d.Pulses, Ranges: 16})
 	for seq := uint64(0); seq < 64; seq++ {
 		before := src.IOStats()
-		if err := src.ReadBand(seq, 0, 16, dst); err != nil {
+		dst, err := src.Begin(seq, 0, 16, 0).Wait()
+		if err != nil {
 			continue
 		}
+		src.Recycle(dst)
 		after := src.IOStats()
 		rereads := after.ChunkRereads - before.ChunkRereads
 		if rereads < 2 {
@@ -219,11 +218,10 @@ func TestFetchWindowsBoundScratch(t *testing.T) {
 					t.Errorf("%s: %d windows of %d bytes, want several of under %d", leg, windows, scratch, fetchWindow+chunk)
 				}
 				fs.SetFaults(&pfs.FaultPlan{Seed: 5, CorruptRate: 0.05})
-				bands := newBandCubes(src, d, hi-lo)
 				salvaged := false
 				for seq := uint64(0); seq < 8; seq++ {
 					before := src.IOStats()
-					cb, err := bands.Begin(seq*uint64(bands.bands.nb)+uint64(lo/(hi-lo)), 0).Wait()
+					cb, err := src.Begin(seq, lo, hi, 0).Wait()
 					if err != nil {
 						continue
 					}
@@ -247,5 +245,63 @@ func TestFetchWindowsBoundScratch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A fetch puts exactly one sample on each frontend clock, summed over its
+// windows: a narrow band over rows shorter than a chunk lands several
+// windows yet adds one read and one decode sample. So a banded run over a
+// file source lists both frontend clocks, each counting one fetch per
+// band.
+func TestBandFetchOneClockSample(t *testing.T) {
+	d := cube.Dims{Channels: 4, Pulses: 128, Ranges: 1024}
+	fs, err := pfs.CreateReal(t.TempDir(), 4, 4096, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	buf := make([]byte, cube.FileBytesChunked(d, cube.DefaultChunkSize))
+	cube.EncodeChunked(cube.New(d), 0, cube.DefaultChunkSize, buf)
+	if err := fs.WriteFile(radar.FileName(0), buf); err != nil {
+		t.Fatal(err)
+	}
+	src, err := NewFileSource(fs, d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := src.fetch(0, 250, 260, 0, nil, srcClocks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := f.steps() / 2
+	f.finish(nil)
+	if windows < 2 {
+		t.Fatalf("band [250,260) lands %d window, want several", windows)
+	}
+	var reads, decodes int
+	src.SetClocks(func(time.Duration) { reads++ }, func(time.Duration) { decodes++ })
+	if _, err := src.Begin(0, 250, 260, 0).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if reads != 1 || decodes != 1 {
+		t.Errorf("a fetch of %d windows put %d read and %d decode samples, want 1 and 1", windows, reads, decodes)
+	}
+
+	s := radar.SmallTestScenario()
+	const n = 4
+	_, bsrc, _ := chunkedKeepStore(t, s, n, 256)
+	cfg := testConfig()
+	cfg.BandRanges = 16
+	res, err := Run(context.Background(), cfg, bsrc, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := n * newBands(s.Dims.Ranges, cfg.BandRanges).nb
+	found := map[string]int{}
+	for _, st := range res.Stages {
+		found[st.Name] = st.CPIs
+	}
+	if found["src read"] != fetches || found["src decode"] != fetches {
+		t.Errorf("banded run frontend clocks %v, want src read and src decode at %d fetches", found, fetches)
 	}
 }

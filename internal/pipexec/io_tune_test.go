@@ -143,7 +143,7 @@ func (p *landingPending) Wait() (*cube.Cube, error) {
 	return p.cb, p.err
 }
 
-func (l *landingSource) Begin(seq uint64, attempt int) PendingCube {
+func (l *landingSource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
 	p := &landingPending{s: l.s, seq: seq, ready: l.landed}
 	if l.landed {
 		p.cb, p.err = l.s.Generate(seq)
@@ -259,5 +259,47 @@ func TestRandomIOKnobScheduleDeterminism(t *testing.T) {
 				t.Errorf("seed %d CPI %d: detections diverged under I/O knob schedule", seed, k)
 			}
 		}
+	}
+}
+
+// Under bands the frontend clocks count one fetch per band, and the tuner
+// reads their work per CPI, the unit of every compute slot: a CPI of nb
+// band fetches of 1 ms each is nb ms of read and decode work, not 1 ms.
+func TestAutoTuneReadsBandIOPerCPI(t *testing.T) {
+	src, _, s := fileSourceOn(t, true, cube.DefaultChunkSize)
+	cfg := testConfig()
+	cfg.BandRanges = s.Dims.Ranges / 4
+	cfg.ReadAhead = 2
+	cfg.AutoTune = &tune.Config{Budget: 12, Interval: 1, Warmup: 1, Hysteresis: -1}
+	r, err := prepare(context.Background(), cfg, src, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.cancel()
+	if !r.ioTune {
+		t.Fatal("a banded run over a file source left the I/O slots out of the solve")
+	}
+	r.afterCPI() // the warmup baseline
+	const fetch = time.Millisecond
+	for i := 0; i < r.bands.nb; i++ {
+		r.srcRead.add(fetch)
+		r.srcDecode.add(fetch)
+	}
+	for _, c := range r.tuneClocks[:len(r.wcs)] {
+		c.add(time.Millisecond)
+	}
+	r.afterCPI()
+	trace := r.tuner.Trace()
+	d := trace[len(trace)-1]
+	if d.Reason == tune.ReasonStarved || len(d.Service) != numTunable+2 {
+		t.Fatalf("no measured window: %+v", d)
+	}
+	work := time.Duration(r.bands.nb) * fetch
+	// The read slot is serial: depth w hides its work as work/w.
+	if got, want := d.Service[numTunable], work/time.Duration(d.Old[numTunable]); got != want {
+		t.Errorf("src read service %v, want %v: %d band fetches of %v at depth %d", got, want, r.bands.nb, fetch, d.Old[numTunable])
+	}
+	if got := d.Service[numTunable+1]; got != work {
+		t.Errorf("src decode service %v, want %v per CPI", got, work)
 	}
 }

@@ -51,7 +51,7 @@ func BandedMinResidency(p *stap.Params, band int) int64 {
 
 // MinResidency is the smallest budget the full-cube pipeline can run in:
 // one CPI's cube plus its Doppler and beam intermediates. Tighter budgets
-// need bands (RunBanded).
+// need bands (Config.BandRanges).
 func MinResidency(p *stap.Params) int64 { return BandedMinResidency(p, p.Dims.Ranges) }
 
 // Admission priorities (lower is more urgent): item k's compute
@@ -235,7 +235,7 @@ func (r *runner) refetch(s *raSlot, sent int64) error {
 		return err
 	}
 	r.setCubeCharged(s.item)
-	s.pend = r.src.Begin(s.item, 0)
+	s.pend = r.begin(s.item, 0)
 	slabB, _ := r.itemBytes(r.bands.width(s.item))
 	r.stats.refetchBytes.Add(slabB)
 	return nil

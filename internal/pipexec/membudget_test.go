@@ -154,7 +154,7 @@ func TestBandedRunAtMinResidency(t *testing.T) {
 		budgetBytes := BandedMinResidency(&cfg.Params, cfg.BandRanges) + slack
 		bcfg.MemBudget = membudget.New("test", budgetBytes)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		res, err := RunBanded(ctx, bcfg, src, n)
+		res, err := Run(ctx, bcfg, src, n)
 		cancel()
 		if err != nil {
 			t.Fatalf("slack %d: %v", slack, err)
@@ -196,7 +196,7 @@ func TestEvictRefetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.setCubeCharged(0)
-	r.window = append(r.window, raSlot{item: 0, pend: r.src.Begin(0, 0)})
+	r.window = append(r.window, raSlot{item: 0, pend: r.begin(0, 0)})
 	deadline := time.Now().Add(5 * time.Second)
 	for !r.window[0].pend.Ready() {
 		if time.Now().After(deadline) {
@@ -374,13 +374,7 @@ func TestEvictionKeepsFaultOutcomes(t *testing.T) {
 			c := cfg
 			c.MemBudget = b
 			c.SeparateIO = separate
-			var res *Result
-			var err error
-			if band == 0 {
-				res, err = Run(context.Background(), c, src, n)
-			} else {
-				res, err = RunBanded(context.Background(), c, src, n)
-			}
+			res, err := Run(context.Background(), c, src, n)
 			if err != nil {
 				t.Fatalf("band %d separate %v: %v", band, separate, err)
 			}

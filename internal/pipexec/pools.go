@@ -4,8 +4,50 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stapio/internal/cube"
 	"stapio/internal/stap"
 )
+
+// slabPool pools a source's input slabs of one cube geometry by range
+// width: whole cubes and range bands of them, a pool per width built on
+// first use. news counts the slabs ever built.
+type slabPool struct {
+	dims  cube.Dims
+	news  atomic.Int64
+	mu    sync.Mutex
+	pools map[int]*sync.Pool
+}
+
+func (p *slabPool) pool(w int) *sync.Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.pools[w] == nil {
+		if p.pools == nil {
+			p.pools = make(map[int]*sync.Pool)
+		}
+		p.pools[w] = new(sync.Pool)
+	}
+	return p.pools[w]
+}
+
+// get leases a slab of w gates.
+func (p *slabPool) get(w int) *cube.Cube {
+	if v := p.pool(w).Get(); v != nil {
+		return v.(*cube.Cube)
+	}
+	p.news.Add(1)
+	return cube.New(cube.Dims{Channels: p.dims.Channels, Pulses: p.dims.Pulses, Ranges: w})
+}
+
+// put takes a slab back, refusing nil and foreign geometry.
+func (p *slabPool) put(cb *cube.Cube) {
+	d := p.dims
+	if cb == nil || cb.Dims.Channels != d.Channels || cb.Dims.Pulses != d.Pulses ||
+		cb.Dims.Ranges < 1 || cb.Dims.Ranges > d.Ranges {
+		return
+	}
+	p.pool(cb.Dims.Ranges).Put(cb)
+}
 
 // dopplerConsumers is the number of stages a Doppler cube fans out to: the
 // easy and hard weight stages plus the easy and hard beamforming stages.

@@ -188,12 +188,12 @@ type residencySource struct {
 	live, max int
 }
 
-func (s *residencySource) Begin(seq uint64, attempt int) PendingCube {
+func (s *residencySource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
 	s.mu.Lock()
 	s.live++
 	s.max = max(s.max, s.live)
 	s.mu.Unlock()
-	return s.MemSource.Begin(seq, attempt)
+	return s.MemSource.Begin(seq, lo, hi, attempt)
 }
 
 func (s *residencySource) Recycle(cb *cube.Cube) {

@@ -123,10 +123,11 @@ type RunStats struct {
 	// clean via chunk re-reads; such reads surface no error, so they appear
 	// here rather than in ChecksumFailures.
 	RepairedReads int64
-	// SourceStalls counts items (CPIs, or bands under RunBanded) whose
-	// readahead-window head had not landed when the pipeline came to
-	// consume it — the pipeline stalled on the source. High stall counts
-	// with a shallow window are the signature of an I/O-bound run.
+	// SourceStalls counts items (CPIs, or bands under Config.BandRanges)
+	// whose readahead-window head had not landed when the pipeline came
+	// to consume it — the pipeline stalled on the source; a band run
+	// can stall up to once per band. High stall counts with a shallow
+	// window are the signature of an I/O-bound run.
 	SourceStalls int64
 	// SourceStall is the total time the read driver spent waiting on the
 	// source (head-of-window waits, retries included) — embedded, the

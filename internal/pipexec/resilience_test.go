@@ -125,7 +125,7 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 	bandPlan := func() *pfs.FaultPlan { return &pfs.FaultPlan{Seed: 7, FailRate: 0.05, CorruptRate: 0.02} }
 	bfs.SetFaults(bandPlan())
 	bcfg.MemBudget = membudget.New("banded", 0)
-	banded, err := RunBanded(context.Background(), bcfg, bsrc, n)
+	banded, err := Run(context.Background(), bcfg, bsrc, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFaultedRunSkipCPIMatchesCleanRun(t *testing.T) {
 	bcfg.Degrade = DegradeFailFast
 	bcfg.MemBudget = nil
 	bfs.SetFaults(&pfs.FaultPlan{Seed: 7, FailRate: 0.05})
-	_, err = RunBanded(context.Background(), bcfg, bsrc, n)
+	_, err = Run(context.Background(), bcfg, bsrc, n)
 	var fe *pfs.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("fail-fast banded run: got %v, want a *pfs.FaultError", err)
@@ -199,11 +199,11 @@ type errPending struct{ err error }
 func (p errPending) Wait() (*cube.Cube, error) { return nil, p.err }
 func (p errPending) Ready() bool               { return true }
 
-func (s *stuckSource) Begin(seq uint64, attempt int) PendingCube {
+func (s *stuckSource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
 	if seq == s.seq {
 		return errPending{err: errors.New("stripe server offline")}
 	}
-	return s.inner.Begin(seq, attempt)
+	return s.inner.Begin(seq, lo, hi, attempt)
 }
 
 func (s *stuckSource) Recycle(cb *cube.Cube) { s.inner.Recycle(cb) }

@@ -45,7 +45,7 @@ type Config struct {
 	Degrade DegradePolicy
 	// ReadAhead is the readahead depth D: how many reads are kept in
 	// flight beyond the item currently being consumed (a CPI, or one
-	// range band of it under RunBanded). Embedded, a run holds D+1 input
+	// range band of it under BandRanges). Embedded, a run holds D+1 input
 	// items (the one the Doppler stage filters and D in the window); the
 	// separate design's hand-off adds the item in the channel slot and
 	// the one blocked in send, D+3. Values < 1 mean 1, the classic
@@ -53,10 +53,9 @@ type Config struct {
 	// read latency the same way pipesim's PrefetchDepth does in the model.
 	ReadAhead int
 	// DecodeWorkers shards each fetch's checksum verification and decode
-	// across this many goroutines when the source has a frontend
-	// (CubeSource.Frontend) or, under RunBanded, is a FileSource, whose
-	// band fetches are its whole-cube fetch. Values < 1 mean 1, the serial
-	// behaviour.
+	// — of a whole cube or of a band — across this many goroutines when
+	// the source has a frontend (CubeSource.Frontend). Values < 1 mean 1,
+	// the serial behaviour.
 	DecodeWorkers int
 	// AutoTune, when non-nil, enables the online worker rebalancer: a
 	// tune.Controller watches the live per-stage busy counters and swaps
@@ -68,8 +67,9 @@ type Config struct {
 	// instrumentable file frontend the budget additionally covers the I/O
 	// knobs — readahead depth and decode workers join the solve as tunable
 	// stages, so a source-bound run trades compute workers for prefetch
-	// depth (see DESIGN.md §12). Decisions are traced in
-	// RunStats.TuneDecisions.
+	// depth (see DESIGN.md §12); under BandRanges the tuner reads their
+	// work per CPI, the sum over the CPI's band fetches. Decisions are
+	// traced in RunStats.TuneDecisions.
 	AutoTune *tune.Config
 	// MemBudget, when non-nil, charges every large slab — input cube or
 	// band slab, Doppler cube or band, beam cube — against a hierarchical byte budget:
@@ -84,10 +84,14 @@ type Config struct {
 	// (CubeSource.Refetchable) has landed readahead items evicted to it
 	// under pressure and re-fetched when the window reaches them.
 	MemBudget *membudget.Budget
-	// BandRanges is the range-band size of RunBanded, whose CPIs flow
-	// through the stages as range-band items; values < 1 mean the full
-	// range extent. Run and Stream consume whole cubes and run every CPI
-	// as one item, so they ignore it.
+	// BandRanges is the range-band size: each CPI flows through the
+	// stages as ceil(Ranges/BandRanges) items, each fetched as its own
+	// gate span (CubeSource.Begin), so peak residency is O(band) instead of
+	// O(cube) (see BandedMinResidency). Values < 1 or beyond the range
+	// extent mean the full extent, one item per CPI. Every other knob
+	// applies: ReadAhead counts bands, a CPI whose band read stays failed
+	// is dropped whole, and a source that serves only whole cubes
+	// (StreamSource) fails the run with a *SpanError.
 	BandRanges int
 	// testOnCPI, when set (tests only), runs on the terminal stage's
 	// goroutine after each recorded CPI with a setter that swaps live
@@ -129,13 +133,16 @@ type CPIResult struct {
 // executor's analogue of the paper's per-task timing rows.
 type StageStat struct {
 	Name string
-	// CPIs is the number of CPIs the stage processed.
+	// CPIs is the number of CPIs the stage processed. The frontend clocks
+	// ("src read", "src decode") count fetches instead: one per CPI on a
+	// whole-cube run, one per band under Config.BandRanges.
 	CPIs int
 	// Busy is the total time spent processing (excluding channel waits).
 	Busy time.Duration
 }
 
-// MeanBusy returns the average processing time per CPI.
+// MeanBusy returns the average processing time per CPI (per fetch on the
+// frontend clocks).
 func (s StageStat) MeanBusy() time.Duration {
 	if s.CPIs == 0 {
 		return 0
@@ -237,16 +244,9 @@ type beamMsg struct {
 	drop  bool
 }
 
-// Run pushes n CPIs from src through the pipeline and collects the
-// detection reports.
+// Run pushes n CPIs from src through the pipeline, whole or in bands of
+// Config.BandRanges gates, and collects the detection reports.
 func Run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error) {
-	cfg.BandRanges = 0 // a CubeSource delivers whole cubes
-	return run(ctx, cfg, src, n)
-}
-
-// run executes n CPIs through the stages; src delivers items (whole cubes,
-// or the band slabs of RunBanded's adapter).
-func run(ctx context.Context, cfg Config, src CubeSource, n int) (*Result, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pipexec: need at least one CPI, got %d", n)
 	}
@@ -294,7 +294,7 @@ func prepare(ctx context.Context, cfg Config, src CubeSource, n int) (*runner, e
 	return r, nil
 }
 
-// newRunner builds the per-run state shared by Run, RunBanded and Stream:
+// newRunner builds the per-run state shared by Run and Stream:
 // the item geometry, resolved bin sets, and the buffer pools that recycle
 // the per-item intermediates.
 func newRunner(cfg Config, src CubeSource, n int) *runner {
@@ -305,17 +305,10 @@ func newRunner(cfg Config, src CubeSource, n int) *runner {
 	r.easyBins = r.p.EasyBins()
 	r.hardBins = r.p.HardBins()
 	r.pools = newPipePools(r.p, r.bands.widths()...)
-	ra := cfg.ReadAhead
-	if ra < 1 {
-		ra = 1
-	}
+	ra := max(cfg.ReadAhead, 1)
 	r.raDepth.Store(int32(ra))
 	r.window = make([]raSlot, 0, ra+1)
-	dw := cfg.DecodeWorkers
-	if dw < 1 {
-		dw = 1
-	}
-	r.decW.Store(int32(dw))
+	r.decW.Store(int32(max(cfg.DecodeWorkers, 1)))
 	if cfg.DecodeWorkers > 0 {
 		src.SetDecodeWorkers(cfg.DecodeWorkers)
 	}
@@ -380,7 +373,7 @@ func (r *runner) setup() error {
 		r.ck.cf = clock("CFAR")
 	}
 	// Sources with a frontend get its clocks: per-fetch striped-read
-	// latency and per-cube verify+decode wall time, surfaced through
+	// latency and per-fetch verify+decode wall time, surfaced through
 	// Stages/StageTimes like every compute stage and — with AutoTune —
 	// feeding the joint I/O + compute solve.
 	if r.src.Frontend() {
@@ -692,10 +685,7 @@ func parallel(w, n int, fn func(widx int, blk cube.Block) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
+	if w = min(w, n); w <= 1 {
 		return fn(0, cube.Block{Lo: 0, Hi: n})
 	}
 	blocks := cube.Split(n, w)
@@ -788,10 +778,13 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 		if r.ctx.Err() != nil {
 			return nil, nil
 		}
+		seq, lo, hi := r.bands.span(uint64(k))
+		if errors.As(err, new(*SpanError)) {
+			return nil, err // every retry and every later item is refused alike
+		}
 		if errors.Is(err, cube.ErrCorrupt) {
 			r.stats.checksumFailures.Add(1)
 		}
-		seq, lo, hi := r.bands.span(uint64(k))
 		if attempt+1 >= max {
 			if r.cfg.Degrade == DegradeFailFast {
 				return nil, fmt.Errorf("pipexec: reading CPI %d gates [%d,%d) (attempt %d of %d): %w", seq, lo, hi, attempt+1, max, err)
@@ -804,8 +797,14 @@ func (r *runner) awaitCube(k int, pending PendingCube) (*cube.Cube, error) {
 		if !r.sleep(r.cfg.Retry.backoff(attempt + 1)) {
 			return nil, nil
 		}
-		pending = r.src.Begin(uint64(k), attempt+1)
+		pending = r.begin(uint64(k), attempt+1)
 	}
+}
+
+// begin starts fetch number attempt of item's gate span.
+func (r *runner) begin(item uint64, attempt int) PendingCube {
+	seq, lo, hi := r.bands.span(item)
+	return r.src.Begin(seq, lo, hi, attempt)
 }
 
 // readCursor is the read driver's position: the next item to deliver,
@@ -861,7 +860,7 @@ func (r *runner) nextItem(c *readCursor) (cubeMsg, bool, error) {
 				break
 			}
 			r.setCubeCharged(item)
-			pend := r.src.Begin(item, 0)
+			pend := r.begin(item, 0)
 			r.winMu.Lock()
 			r.window = append(r.window, raSlot{item: item, pend: pend})
 			r.winMu.Unlock()
@@ -976,7 +975,8 @@ func (r *runner) headErr(item uint64, err error) error {
 	if r.ctx.Err() != nil {
 		return nil
 	}
-	return fmt.Errorf("pipexec: read CPI %d: %w", r.bands.seq(item), err)
+	seq, _, _ := r.bands.span(item)
+	return fmt.Errorf("pipexec: read CPI %d: %w", seq, err)
 }
 
 // liveReadAhead loads the current readahead depth, clamped to [1, cap].

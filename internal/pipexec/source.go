@@ -25,6 +25,7 @@ import (
 	"stapio/internal/cube"
 	"stapio/internal/pfs"
 	"stapio/internal/radar"
+	"stapio/internal/stap"
 )
 
 // CubeSource is the one contract the pipeline consumes cubes through:
@@ -34,19 +35,22 @@ import (
 // instrumented I/O frontend. Sources without a frontend embed NoFrontend
 // and implement Begin, Recycle and Refetchable only.
 type CubeSource interface {
-	// Begin starts fetch number attempt (0 = first try) of the cube for
-	// CPI seq and returns a handle. A source with a fault plan folds the
-	// attempt into its draw, so a retry re-draws instead of replaying the
-	// same injected fault forever.
-	Begin(seq uint64, attempt int) PendingCube
-	// Recycle returns a cube obtained from this source once the pipeline
-	// is done with it. Must tolerate nil and foreign-geometry cubes.
+	// Begin starts fetch number attempt (0 = first try) of range gates
+	// [lo, hi) of the cube for CPI seq and returns a handle that delivers
+	// them as a slab of dims {Channels, Pulses, hi-lo}; a whole cube is
+	// the span [0, Ranges). A source that cannot serve a narrower span
+	// resolves the handle with a *SpanError. A source with a fault plan
+	// folds the attempt into its draw, so a retry re-draws instead of
+	// replaying the same injected fault forever.
+	Begin(seq uint64, lo, hi, attempt int) PendingCube
+	// Recycle returns a slab obtained from this source once the pipeline
+	// is done with it. Must tolerate nil and foreign-geometry slabs.
 	Recycle(cb *cube.Cube)
-	// Refetchable reports whether Begin(seq, 0) may be called again for a
-	// cube already delivered and recycled, replaying the same fetch; a
-	// landed handle's Wait must then return the same result each call. A
-	// budgeted run evicts landed readahead items of such a source under
-	// memory pressure and re-fetches them, instead of holding them.
+	// Refetchable reports whether Begin(seq, lo, hi, 0) may be called
+	// again for a slab already delivered and recycled, replaying the same
+	// fetch; a landed handle's Wait must then return the same result each
+	// call. A budgeted run evicts landed readahead items of such a source
+	// under memory pressure and re-fetches them, instead of holding them.
 	Refetchable() bool
 
 	// Frontend reports whether the source has an instrumented I/O
@@ -64,8 +68,22 @@ type CubeSource interface {
 	// SetClocks installs the frontend clocks: read receives each fetch's
 	// serial latency (issue to data landed — concurrent fetches each
 	// record their full latency, the tuner's latency-hiding input),
-	// decode each cube's verify+decode wall time.
+	// decode each fetch's verify+decode wall time. Each fetch, whole cube
+	// or band, puts exactly one sample on each clock.
 	SetClocks(read, decode func(time.Duration))
+}
+
+// SpanError is the typed error of a source asked for range gates [Lo, Hi)
+// of CPI Seq when it serves only whole cubes of Ranges gates (a
+// StreamSource). The read driver fails the run on it at once: a retry or a
+// drop would be refused the same way for every later item.
+type SpanError struct {
+	Seq            uint64
+	Lo, Hi, Ranges int
+}
+
+func (e *SpanError) Error() string {
+	return fmt.Sprintf("pipexec: CPI %d: source serves whole cubes of %d gates, not the band [%d,%d)", e.Seq, e.Ranges, e.Lo, e.Hi)
 }
 
 // PendingCube is an in-flight cube fetch.
@@ -148,10 +166,7 @@ func (f *frontend) IOStats() IOStats {
 // SetDecodeWorkers implements CubeSource: in-flight decodes load the count
 // once at their start.
 func (f *frontend) SetDecodeWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	f.decodeW.Store(int32(n))
+	f.decodeW.Store(int32(max(n, 1)))
 }
 
 // SetClocks implements CubeSource.
@@ -169,29 +184,30 @@ func (f *frontend) clocks() srcClocks {
 
 // FileSource reads CPI cubes from the round-robin staging files of a
 // striped file store, the paper's configuration. It has one read path, a
-// chunk-granular fetch of range gates [lo, hi) of one CPI: it plans the
-// payload chunks the gates touch and lands them window by window, each
-// contiguous run of a window's chunks with one striped request; it
-// verifies every landed chunk's CRC, re-reads a corrupt chunk on its own
-// (ChunkRetries rounds, each re-drawing the fault plan) rather than
-// failing the whole read, and decodes the in-band samples into the
-// destination, sharded across DecodeWorkers goroutines, before it lands
-// the next window. A window holds the larger of 1 MiB and the gates' own
-// bytes, rounded up to whole chunks, so a fetch's scratch stays O(band)
-// even when rows are shorter than a chunk and a narrow band touches every
-// chunk. A whole cube (Begin) is the fetch of [0, Ranges): one window, one
-// request from the payload offset to the end of the file. A band
-// (ReadBand, RunBanded) is the same fetch over the band.
+// chunk-granular fetch of range gates [lo, hi) of one CPI — Begin's span:
+// it plans the payload chunks the gates touch and lands them window by
+// window, each contiguous run of a window's chunks with one striped
+// request; it verifies every landed chunk's CRC, re-reads a corrupt chunk
+// on its own (ChunkRetries rounds, each re-drawing the fault plan) rather
+// than failing the whole read, and decodes the in-band samples into a
+// pooled slab of the span's width, sharded across DecodeWorkers
+// goroutines, before it lands the next window. A window holds the larger
+// of 1 MiB and the gates' own bytes, rounded up to whole chunks, so a
+// fetch's scratch stays O(band) even when rows are shorter than a chunk
+// and a narrow band touches every chunk. A whole cube is the fetch of
+// [0, Ranges): one window, one request from the payload offset to the end
+// of the file. Whatever the span, the fetch keeps the frontend: one sample
+// per fetch on each frontend clock, and the chunk-repair counters.
 //
 // NewFileSource probes each staging file's header and chunk table once,
 // without faults, and checks it against Dims, the chunk size and the file
 // size; the data path reads payload bytes only.
 //
-// Fetch state (chunk plan, landed window) and decoded cubes are pooled: a
-// fetch returns its state when it resolves (success, corruption, or drop
-// alike), and the pipeline hands decoded cubes back through Recycle once
-// Doppler filtering has consumed them, so steady-state reads allocate
-// nothing. Build it with NewFileSource.
+// Fetch state (chunk plan, landed window) and slabs are pooled: a fetch
+// returns its state when it resolves (success, corruption, or drop
+// alike), and the pipeline hands slabs back through Recycle once Doppler
+// filtering has consumed them, so steady-state reads allocate nothing.
+// Build it with NewFileSource.
 type FileSource struct {
 	frontend
 
@@ -213,39 +229,25 @@ type FileSource struct {
 	hdrs []cube.Header
 
 	fetches   sync.Pool // *chunkFetch
-	cubes     sync.Pool // *cube.Cube
+	slabs     slabPool
 	fetchNews atomic.Int64
-	cubeNews  atomic.Int64
 }
 
-func (s *FileSource) getCube() *cube.Cube {
-	if v := s.cubes.Get(); v != nil {
-		return v.(*cube.Cube)
-	}
-	s.cubeNews.Add(1)
-	return cube.New(s.Dims)
-}
-
-// Recycle implements CubeSource: the pipeline returns a decoded cube once
-// Doppler filtering has consumed it. Cubes of foreign geometry are refused
-// (decoding fully overwrites a recycled cube's samples, so matching dims
+// Recycle implements CubeSource: the pipeline returns a slab once Doppler
+// filtering has consumed it. Slabs of foreign geometry are refused
+// (decoding fully overwrites a recycled slab's samples, so matching dims
 // are the only requirement).
-func (s *FileSource) Recycle(cb *cube.Cube) {
-	if cb == nil || cb.Dims != s.Dims {
-		return
-	}
-	s.cubes.Put(cb)
-}
+func (s *FileSource) Recycle(cb *cube.Cube) { s.slabs.put(cb) }
 
 // Refetchable implements CubeSource: staging files stay on the store.
 func (s *FileSource) Refetchable() bool { return true }
 
 // PoolNews reports how many fetch states (each holding a read buffer) and
-// decoded cubes the source has ever allocated. With recycling working both
-// stay bounded by the pipeline depth plus readahead, not the CPI count —
-// the pool regression test pins this.
+// slabs the source has ever allocated. With recycling working both stay
+// bounded by the pipeline depth plus readahead, not the CPI count — the
+// pool regression test pins this.
 func (s *FileSource) PoolNews() (bufs, cubes int64) {
-	return s.fetchNews.Load(), s.cubeNews.Load()
+	return s.fetchNews.Load(), s.slabs.news.Load()
 }
 
 // decodeWorkers is the live decode pool size: the last SetDecodeWorkers,
@@ -271,7 +273,7 @@ func NewFileSource(fs *pfs.RealFS, dims cube.Dims, files int) (*FileSource, erro
 	if files < 1 {
 		return nil, fmt.Errorf("pipexec: file count %d < 1", files)
 	}
-	s := &FileSource{FS: fs, Dims: dims, Files: files,
+	s := &FileSource{FS: fs, Dims: dims, Files: files, slabs: slabPool{dims: dims},
 		names: make([]string, files), hdrs: make([]cube.Header, files)}
 	for i := range s.names {
 		s.names[i] = radar.FileName(i)
@@ -324,41 +326,21 @@ type asyncFetch struct {
 	err  error
 }
 
-// Begin implements CubeSource: the fetch of the whole cube for the CPI
-// into a pooled cube — the iread() of the paper's clients. Its latency
-// goes on the frontend clocks.
-func (s *FileSource) Begin(seq uint64, attempt int) PendingCube {
-	return s.begin(seq, 0, s.Dims.Ranges, attempt, s.getCube(), s, s.clocks())
-}
-
-// ReadBand implements BandedSource: the first-try fetch of gates [lo, hi)
-// into the band slab, run in the caller. Per-call I/O is O(band) plus
-// chunk-alignment waste, and the fetch's scratch holds one window, so the
-// whole-file image is never materialised.
-func (s *FileSource) ReadBand(seq uint64, lo, hi int, dst *cube.Cube) error {
-	f, err := s.fetch(seq, lo, hi, 0, dst, srcClocks{})
-	if err != nil {
-		return err
-	}
-	return f.finish(f.advance(f.steps()))
-}
-
-// begin starts fetch number attempt of gates [lo, hi) of CPI seq into dst
-// and returns its handle; owner takes dst back if the fetch fails, and clk
-// receives the fetch's read and decode latency. On an async store the
-// fetch goroutine issues the reads itself, so begin returns at once; on a
-// sync-only store (PIOFS semantics) every read lands before begin returns
-// and cannot overlap anything — embedded, the Doppler stage issues the
-// window's reads, so it pays them itself. The last window's verify,
-// repair and decode run in the fetch goroutine either way, so fetches
-// deeper in the readahead window make decode progress before the pipeline
-// waits on them; a fetch of several windows settles the earlier ones
-// wherever it reads the next, since its scratch holds one at a time.
-func (s *FileSource) begin(seq uint64, lo, hi, attempt int, dst *cube.Cube, owner CubeSource, clk srcClocks) PendingCube {
+// Begin implements CubeSource: the fetch of gates [lo, hi) of the CPI
+// into a pooled slab — the iread() of the paper's clients — with its
+// latency on the frontend clocks. On an async store the fetch goroutine
+// issues the reads itself, so Begin returns at once; on a sync-only store
+// (PIOFS semantics) every read lands before Begin returns and cannot
+// overlap anything — embedded, the Doppler stage issues the window's
+// reads, so it pays them itself. The last window's verify, repair and
+// decode run in the fetch goroutine either way, so fetches deeper in the
+// readahead window make decode progress before the pipeline waits on
+// them; a fetch of several windows settles the earlier ones wherever it
+// reads the next, since its scratch holds one at a time.
+func (s *FileSource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
 	p := &asyncFetch{done: make(chan struct{})}
-	f, err := s.fetch(seq, lo, hi, attempt, dst, clk)
+	f, err := s.fetch(seq, lo, hi, attempt, nil, s.clocks())
 	if err != nil {
-		owner.Recycle(dst)
 		p.err = err
 		close(p.done)
 		return p
@@ -368,16 +350,30 @@ func (s *FileSource) begin(seq uint64, lo, hi, attempt int, dst *cube.Cube, owne
 	}
 	go func() {
 		defer close(p.done)
+		dst := f.dst
 		if p.err == nil {
 			p.err = f.advance(f.steps() - f.step)
 		}
 		if p.err = f.finish(p.err); p.err != nil {
-			owner.Recycle(dst)
+			s.Recycle(dst)
 			return
 		}
 		p.cb = dst
 	}()
 	return p
+}
+
+// ReadBand is the first-try fetch of gates [lo, hi) into dst, run in the
+// caller, without the frontend clocks.
+//
+// Deprecated: Begin serves any span; ReadBand stays for callers outside
+// this module.
+func (s *FileSource) ReadBand(seq uint64, lo, hi int, dst *cube.Cube) error {
+	f, err := s.fetch(seq, lo, hi, 0, dst, srcClocks{})
+	if err != nil {
+		return err
+	}
+	return f.finish(f.advance(f.steps()))
 }
 
 // Wait implements PendingCube. A corrupt payload that chunk re-reads could
@@ -428,9 +424,11 @@ type chunkFetch struct {
 	k0, k1 int
 	buf    []byte
 	// step is the next step (see steps); repaired notes a chunk re-read
-	// that salvaged a window.
-	step     int
-	repaired bool
+	// that salvaged a window. readT and decT sum the fetch's landing and
+	// settling time over its windows, for the frontend clocks.
+	step        int
+	repaired    bool
+	readT, decT time.Duration
 	// bad holds, per decode worker, the positions in chunks whose CRC
 	// failed.
 	bad         [][]int
@@ -438,16 +436,19 @@ type chunkFetch struct {
 }
 
 // fetch plans fetch number attempt of gates [lo, hi) of CPI seq into dst
-// on a pooled chunkFetch. The fault-plan tag folds the CPI sequence number
-// in with the attempt: staging files are reused round-robin, so without
-// the seq every visit to a file would draw the same injected fate, and a
-// retry re-draws instead of replaying the same fault forever.
+// (nil: a slab leased from the pool) on a pooled chunkFetch. The
+// fault-plan tag folds the CPI sequence number in with the attempt:
+// staging files are reused round-robin, so without the seq every visit to
+// a file would draw the same injected fate, and a retry re-draws instead
+// of replaying the same fault forever.
 func (s *FileSource) fetch(seq uint64, lo, hi, attempt int, dst *cube.Cube, clk srcClocks) (*chunkFetch, error) {
 	d := s.Dims
 	if lo < 0 || hi > d.Ranges || lo >= hi {
 		return nil, fmt.Errorf("pipexec: band [%d,%d) outside range extent %d", lo, hi, d.Ranges)
 	}
-	if dst.Dims != (cube.Dims{Channels: d.Channels, Pulses: d.Pulses, Ranges: hi - lo}) {
+	if dst == nil {
+		dst = s.slabs.get(hi - lo)
+	} else if dst.Dims != (cube.Dims{Channels: d.Channels, Pulses: d.Pulses, Ranges: hi - lo}) {
 		return nil, fmt.Errorf("pipexec: band slab %v does not hold [%d,%d) of %v", dst.Dims, lo, hi, d)
 	}
 	f, _ := s.fetches.Get().(*chunkFetch)
@@ -460,7 +461,7 @@ func (s *FileSource) fetch(seq uint64, lo, hi, attempt int, dst *cube.Cube, clk 
 	h := &s.hdrs[file]
 	f.name, f.seq, f.tag = s.names[file], seq, int(seq)<<8|attempt&0xff
 	f.h, f.lo, f.hi, f.dst, f.clk = h, lo, hi, dst, clk
-	f.step, f.repaired = 0, false
+	f.step, f.repaired, f.readT, f.decT = 0, false, 0, 0
 	// Rows are range-minor: row (c,p) holds samples [row*Ranges,
 	// (row+1)*Ranges), of which the gates are [row*Ranges+lo, row*Ranges+hi).
 	cs := int64(h.ChunkSize)
@@ -495,26 +496,21 @@ func (f *chunkFetch) steps() int {
 	return 2 * ((len(f.chunks) + f.per - 1) / f.per)
 }
 
-// advance runs the fetch's next n steps. With a clock armed, a landed
-// window's read time goes on the read clock and a settle's time on the
-// decode clock; only Begin arms them, and a whole cube is one window, so
-// each gets one sample per fetch — the tuner's serial work for the
-// frontend.
+// advance runs the fetch's next n steps, summing the landing steps' time
+// into readT and the settling steps' into decT.
 func (f *chunkFetch) advance(n int) error {
 	for ; n > 0; n-- {
-		t0, clk := time.Now(), f.clk.dec
-		var err error
+		t0 := time.Now()
 		if f.step%2 == 0 {
-			if err = f.land(); err != nil {
+			if err := f.land(); err != nil {
 				return err
 			}
-			clk = f.clk.read
-		} else {
-			err = f.repair(f.verifyDecode())
+			f.readT += time.Since(t0)
+			f.step++
+			continue
 		}
-		if clk != nil {
-			clk(time.Since(t0))
-		}
+		err := f.repair(f.verifyDecode())
+		f.decT += time.Since(t0)
 		if f.step++; err != nil {
 			return err
 		}
@@ -522,9 +518,20 @@ func (f *chunkFetch) advance(n int) error {
 	return nil
 }
 
-// finish resolves the fetch with its outcome err: it counts a salvaged
-// fetch as one repaired read and returns the state to the pool.
+// finish resolves the fetch with its outcome err: it puts the fetch's
+// summed read time on the read clock once a window has landed and its
+// summed decode time on the decode clock once one has settled — one
+// sample per fetch on each, whatever its window count, so the clocks
+// count fetches and the tuner reads a band fetch's serial work whole. It
+// counts a salvaged fetch as one repaired read and returns the state to
+// the pool.
 func (f *chunkFetch) finish(err error) error {
+	if f.clk.read != nil && f.step > 0 {
+		f.clk.read(f.readT)
+	}
+	if f.clk.dec != nil && f.step > 1 {
+		f.clk.dec(f.decT)
+	}
 	if err == nil && f.repaired {
 		f.s.repairedReads.Add(1)
 	}
@@ -654,14 +661,15 @@ func (f *chunkFetch) decodeChunk(k int) {
 
 // MemSource serves cubes from a generator function; used by tests and the
 // in-memory examples. The generator must be safe for concurrent calls and
-// return the same cube for a sequence number each time.
+// return the same cube for a sequence number each time. A span narrower
+// than the extent is copied out of the generated cube (stap.CopyBand).
 type MemSource struct {
 	NoFrontend
 	Generate func(seq uint64) (*cube.Cube, error)
 }
 
-// Recycle implements CubeSource as a no-op: generated cubes are freshly
-// allocated per CPI and have no pool to return to.
+// Recycle implements CubeSource as a no-op: generated cubes and band
+// copies are freshly allocated and have no pool to return to.
 func (s *MemSource) Recycle(cb *cube.Cube) {}
 
 // Refetchable implements CubeSource: a generator regenerates.
@@ -675,13 +683,27 @@ var (
 
 // Begin implements CubeSource, generating eagerly in a goroutine; a
 // generator has no faults to re-draw, so attempt is ignored.
-func (s *MemSource) Begin(seq uint64, attempt int) PendingCube {
+func (s *MemSource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
 	p := &asyncFetch{done: make(chan struct{})}
 	go func() {
 		defer close(p.done)
-		p.cb, p.err = s.Generate(seq)
+		cb, err := s.Generate(seq)
+		if err == nil && (lo != 0 || hi != cb.Dims.Ranges) {
+			cb, err = copyBand(cb, lo, hi)
+		}
+		p.cb, p.err = cb, err
 	}()
 	return p
+}
+
+// copyBand returns a new slab holding gates [lo, hi) of cb.
+func copyBand(cb *cube.Cube, lo, hi int) (*cube.Cube, error) {
+	d := cb.Dims
+	if lo < 0 || hi > d.Ranges || lo >= hi {
+		return nil, fmt.Errorf("pipexec: band [%d,%d) outside range extent %d", lo, hi, d.Ranges)
+	}
+	band := cube.New(cube.Dims{Channels: d.Channels, Pulses: d.Pulses, Ranges: hi - lo})
+	return band, stap.CopyBand(band, cb, lo)
 }
 
 // ScenarioSource builds a MemSource over a radar scenario.

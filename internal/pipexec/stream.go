@@ -31,7 +31,6 @@ type StreamHandle struct {
 // Stream starts the pipeline against src and returns immediately. The
 // caller must drain Results and call Stop exactly once when finished.
 func Stream(ctx context.Context, cfg Config, src CubeSource) (*StreamHandle, error) {
-	cfg.BandRanges = 0 // a CubeSource delivers whole cubes
 	r, err := prepare(ctx, cfg, src, math.MaxInt32)
 	if err != nil {
 		return nil, err
@@ -82,7 +81,8 @@ func (h *StreamHandle) Stop() (*Result, error) {
 	for _, c := range h.r.clocks {
 		st := c.stat()
 		res.Stages = append(res.Stages, st)
-		if st.CPIs > served {
+		// The frontend clocks count fetches, not CPIs (one per band).
+		if st.CPIs > served && c != h.r.srcRead && c != h.r.srcDecode {
 			served = st.CPIs
 		}
 	}

@@ -153,3 +153,49 @@ func TestStreamRejectsBadConfig(t *testing.T) {
 		t.Error("expected config validation error")
 	}
 }
+
+// Stream honours Config.BandRanges like Run: a banded stream off a file
+// source delivers Run's detections in order, and its summary throughput
+// counts CPIs, not the frontend clocks' band fetches.
+func TestStreamHonoursBandRanges(t *testing.T) {
+	s := radar.SmallTestScenario()
+	const n = 8
+	_, src, _ := chunkedKeepStore(t, s, n, 256)
+	cfg := testConfig()
+	want, err := Run(context.Background(), cfg, src, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.BandRanges = 16
+	h, err := Stream(context.Background(), cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []CPIResult
+	for c := range h.Results {
+		if got = append(got, c); len(got) == n {
+			break
+		}
+	}
+	res, err := h.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("consumed %d results, want %d", len(got), n)
+	}
+	for i, c := range got {
+		if c.Seq != uint64(i) || !sameDetections(c.Detections, want.CPIs[i].Detections) {
+			t.Errorf("result %d (CPI %d): banded stream diverges from Run", i, c.Seq)
+		}
+	}
+	served := 0
+	for _, st := range res.Stages {
+		if st.Name != "src read" && st.Name != "src decode" {
+			served = max(served, st.CPIs)
+		}
+	}
+	if cpis := res.Throughput * res.Elapsed.Seconds(); cpis > float64(served)+0.5 {
+		t.Errorf("summary throughput counts %.1f CPIs, but no compute stage served more than %d", cpis, served)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stapio/internal/cube"
@@ -55,8 +54,7 @@ type StreamSource struct {
 	closed   bool
 	closeErr error
 
-	cubes    sync.Pool // *cube.Cube slabs
-	cubeNews atomic.Int64
+	slabs slabPool
 }
 
 var _ CubeSource = (*StreamSource)(nil)
@@ -74,7 +72,7 @@ type streamEntry struct {
 
 // NewStreamSource builds a streaming source for the given cube geometry.
 func NewStreamSource(dims cube.Dims) *StreamSource {
-	return &StreamSource{Dims: dims, entries: make(map[uint64]*streamEntry)}
+	return &StreamSource{Dims: dims, entries: make(map[uint64]*streamEntry), slabs: slabPool{dims: dims}}
 }
 
 // resolveLocked delivers an entry. Caller holds s.mu.
@@ -100,19 +98,29 @@ func (s *StreamSource) entryLocked(seq uint64) *streamEntry {
 // Begin implements CubeSource: the returned handle resolves when the
 // producer commits (or aborts) sequence seq. A retry re-joins the same
 // rendezvous (an aborted publication stays failed), so attempt is ignored.
-// Begin after Close resolves immediately with the close error.
-func (s *StreamSource) Begin(seq uint64, attempt int) PendingCube {
+// Producers publish whole cubes, so a span narrower than the extent
+// resolves at once with a *SpanError, as Begin after Close does with the
+// close error.
+func (s *StreamSource) Begin(seq uint64, lo, hi, attempt int) PendingCube {
+	if lo != 0 || hi != s.Dims.Ranges {
+		return s.failed(seq, &SpanError{Seq: seq, Lo: lo, Hi: hi, Ranges: s.Dims.Ranges})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[seq]; ok {
 		return &streamPending{s: s, seq: seq, e: e}
 	}
 	if s.closed {
-		e := &streamEntry{done: make(chan struct{}), err: s.closeErr, resolved: true}
-		close(e.done)
-		return &streamPending{s: s, seq: seq, e: e}
+		return s.failed(seq, s.closeErr)
 	}
 	return &streamPending{s: s, seq: seq, e: s.entryLocked(seq)}
+}
+
+// failed returns a handle already resolved with err.
+func (s *StreamSource) failed(seq uint64, err error) *streamPending {
+	e := &streamEntry{done: make(chan struct{}), err: err, resolved: true}
+	close(e.done)
+	return &streamPending{s: s, seq: seq, e: e}
 }
 
 // streamPending is an in-flight streamed fetch.
@@ -165,23 +173,9 @@ func (s *StreamSource) consume(seq uint64, e *streamEntry) bool {
 	return won
 }
 
-// getCube leases a decode slab from the pool.
-func (s *StreamSource) getCube() *cube.Cube {
-	if v := s.cubes.Get(); v != nil {
-		return v.(*cube.Cube)
-	}
-	s.cubeNews.Add(1)
-	return cube.New(s.Dims)
-}
-
 // Recycle implements CubeSource: delivered cubes return to the slab pool
 // once the pipeline has consumed them. Foreign geometry is refused.
-func (s *StreamSource) Recycle(cb *cube.Cube) {
-	if cb == nil || cb.Dims != s.Dims {
-		return
-	}
-	s.cubes.Put(cb)
-}
+func (s *StreamSource) Recycle(cb *cube.Cube) { s.slabs.put(cb) }
 
 // Refetchable implements CubeSource: a streamed cube's bytes are gone
 // once consumed, so a budgeted stream keeps its back-pressure instead.
@@ -190,7 +184,7 @@ func (s *StreamSource) Refetchable() bool { return false }
 // PoolNews reports how many decode slabs the source has ever allocated.
 // With recycling working it stays bounded by the readahead window plus the
 // open publications, not the CPI count.
-func (s *StreamSource) PoolNews() int64 { return s.cubeNews.Load() }
+func (s *StreamSource) PoolNews() int64 { return s.slabs.news.Load() }
 
 // Close fails every unresolved fetch with ErrStreamClosed, recycles
 // delivered-but-unconsumed cubes, and rejects all further publications.
@@ -206,7 +200,7 @@ func (s *StreamSource) Close() {
 	for seq, e := range s.entries {
 		if e.resolved {
 			if e.err == nil && e.cb != nil {
-				s.cubes.Put(e.cb)
+				s.slabs.put(e.cb)
 			}
 		} else {
 			s.resolveLocked(e, nil, s.closeErr)
@@ -271,7 +265,7 @@ func (p *CubePublisher) Announce(h cube.Header) error {
 		return fmt.Errorf("pipexec: published cube is %v, source expects %v", h.Dims, p.s.Dims)
 	}
 	p.h = h
-	p.cb = p.s.getCube()
+	p.cb = p.s.slabs.get(p.s.Dims.Ranges)
 	p.got = make([]bool, h.Chunks())
 	p.bad = make([]bool, h.Chunks())
 	p.miss = h.Chunks()

@@ -34,7 +34,7 @@ func TestStreamSourcePendingReadyOnError(t *testing.T) {
 	src := NewStreamSource(s.Dims)
 	defer src.Close()
 
-	p := src.Begin(7, 0)
+	p := src.Begin(7, 0, s.Dims.Ranges, 0)
 	if p.Ready() {
 		t.Fatal("pending ready before anything was published")
 	}
@@ -52,7 +52,7 @@ func TestStreamSourcePendingReadyOnError(t *testing.T) {
 	}
 	// A re-Begin of the same seq (the pipeline's retry path) must observe
 	// the same resolved error immediately rather than hanging.
-	p2 := src.Begin(7, 1)
+	p2 := src.Begin(7, 0, s.Dims.Ranges, 1)
 	if !p2.Ready() {
 		t.Fatal("re-Begin of an errored seq is not ready")
 	}
@@ -127,7 +127,7 @@ func TestStreamSourceChunkRepairMidStream(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 
-	got, err := src.Begin(0, 0).Wait()
+	got, err := src.Begin(0, 0, s.Dims.Ranges, 0).Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +184,32 @@ func TestGeneratorSourceMatchesMemSource(t *testing.T) {
 	// pipeline's in-flight CPIs, not one slab per CPI.
 	if news := gen.PoolNews(); news > int64(n) {
 		t.Errorf("pool allocated %d cubes for %d CPIs", news, n)
+	}
+}
+
+// A StreamSource delivers whole cubes only: a narrower span resolves at
+// once with a *SpanError, and a banded run over a GeneratorSource fails
+// with it under a skip policy rather than retrying and dropping every CPI.
+func TestStreamSourceRefusesBands(t *testing.T) {
+	s := radar.SmallTestScenario()
+	src := NewStreamSource(s.Dims)
+	defer src.Close()
+	p := src.Begin(3, 16, 32, 0)
+	if !p.Ready() {
+		t.Fatal("a refused span is not resolved at once")
+	}
+	_, err := p.Wait()
+	var se *SpanError
+	if !errors.As(err, &se) || *se != (SpanError{Seq: 3, Lo: 16, Hi: 32, Ranges: s.Dims.Ranges}) {
+		t.Fatalf("band [16,32): got %v, want a *SpanError for CPI 3", err)
+	}
+
+	gen := NewGeneratorSource(s.Dims, 2, s.Generate)
+	defer gen.Close()
+	cfg := testConfig()
+	cfg.BandRanges = 16
+	cfg.Degrade = DegradeSkipCPI
+	if _, err := Run(context.Background(), cfg, gen, 4); !errors.As(err, &se) {
+		t.Fatalf("banded run over a generator source: got %v, want a *SpanError", err)
 	}
 }

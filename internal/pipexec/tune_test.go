@@ -229,7 +229,7 @@ func TestRandomRebalanceScheduleDeterminism(t *testing.T) {
 			cfg.testOnCPI = func(cpi int, set func(stage, workers int)) {
 				set(rng.Intn(8), 1+rng.Intn(4))
 			}
-			res, err := RunBanded(context.Background(), cfg, scenarioBandSource(t, s), n)
+			res, err := Run(context.Background(), cfg, scenarioBandSource(t, s), n)
 			if err != nil {
 				t.Fatalf("band %d seed %d: %v", band, seed, err)
 			}

@@ -95,12 +95,7 @@ func withAutoTuneDefaults(cfg Config, src CubeSource) (Config, error) {
 	}
 	budget := cfg.AutoTune.Budget
 	if src.Frontend() {
-		if cfg.ReadAhead < 1 {
-			cfg.ReadAhead = 1
-		}
-		if cfg.DecodeWorkers < 1 {
-			cfg.DecodeWorkers = 1
-		}
+		cfg.ReadAhead, cfg.DecodeWorkers = max(cfg.ReadAhead, 1), max(cfg.DecodeWorkers, 1)
 		budget -= cfg.ReadAhead + cfg.DecodeWorkers
 		if budget < numTunable {
 			return cfg, fmt.Errorf("pipexec: autotune budget %d cannot cover the %d tasks plus readahead %d and decode workers %d",
@@ -154,17 +149,9 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 		// on budget-stalled configurations.
 		maxRA := maxReadAhead
 		if lim := r.budget.PathLimit(); lim > 0 && r.cubeB > 0 {
-			if cap := int((lim-BandedMinResidency(r.p, r.bands.band))/r.cubeB) + 1; cap < maxRA {
-				maxRA = cap
-			}
-			if maxRA < 1 {
-				maxRA = 1
-			}
+			maxRA = max(min(maxRA, int((lim-BandedMinResidency(r.p, r.bands.band))/r.cubeB)+1), 1)
 		}
-		maxDW := maxDecodeWorkers
-		if maxRA < maxDW {
-			maxDW = maxRA
-		}
+		maxDW := min(maxDecodeWorkers, maxRA)
 		ra, dw := int(r.raDepth.Load()), int(r.decW.Load())
 		if ra > maxRA {
 			ra = maxRA
@@ -195,11 +182,7 @@ func (r *runner) initTuning(clks [numTunable]*stageClock) error {
 // workersFor loads stage slot i's live worker count (>= 1 by validation;
 // a hostile store is still clamped so parallel() stays safe).
 func (r *runner) workersFor(i int) int {
-	n := int(r.wcs[i].Load())
-	if n < 1 {
-		return 1
-	}
-	return n
+	return max(int(r.wcs[i].Load()), 1)
 }
 
 // applySplit installs a tuner split: the compute slots into the live
@@ -247,6 +230,12 @@ func (r *runner) afterCPI() {
 	for i, c := range r.tuneClocks {
 		r.tuneBusy[i] = c.busy.Load()
 		r.tuneCPIs[i] = c.cpis.Load()
+		if i >= len(r.wcs) {
+			// The frontend clocks count fetches, nb per CPI under bands:
+			// busy x nb over fetches is the I/O work per CPI, the unit of
+			// every compute slot.
+			r.tuneBusy[i] *= int64(r.bands.nb)
+		}
 	}
 	split, applied := r.tuner.Observe(r.tuneBusy, r.tuneCPIs)
 	if applied {
@@ -314,7 +303,8 @@ func (h *durHist) quantile(q float64) time.Duration {
 // StageTimeStats summarises one stage's per-CPI service-time distribution
 // — the tuner's input doubling as an observability surface (stapdetect
 // -stagestats). P50/P90 are log-bucket upper bounds (within 2x of exact);
-// Max is exact.
+// Max is exact. As in StageStat, the frontend clocks ("src read", "src
+// decode") count and time fetches, one per band under Config.BandRanges.
 type StageTimeStats struct {
 	Name          string
 	CPIs          int64

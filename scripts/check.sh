@@ -71,6 +71,11 @@ for leg in separate whole band64; do
     diff "$tmp/beams.embedded" "$tmp/beams.$leg"
 done
 diff "$tmp/resilience.whole" "$tmp/resilience.band64"
+# Banded autotune smoke: band fetches run on the file source's I/O
+# frontend, so an autotuned banded run puts the readahead and decode slots
+# into the one solve, and its final split names both.
+"$stapdetect" -data "$data" -small -cpis 64 -band 16 -readahead 2 \
+    -autotune -budget 12 | grep '^autotune:' | grep 'src read=' | grep -q 'src decode='
 sh scripts/serve_smoke.sh
 sh scripts/chaos_smoke.sh
 for w in paper-file slowstore-file mid-banded small-serve; do
